@@ -16,6 +16,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .canon import (
     BudgetExhaustedError,
     DEFAULT_NODE_BUDGET,
@@ -23,6 +25,7 @@ from .canon import (
     wl1_histogram,
 )
 from .graphcore import Graph
+from .spectra import dense_adjacency
 
 __all__ = [
     "LambdaProfile",
@@ -54,19 +57,32 @@ class LambdaProfile:
         }
 
 
+_LAMBDA_ROWS = 256  # rows of A A formed at a time
+
+
 def lambda_profile(g: Graph) -> LambdaProfile:
-    rows = g.rows
-    edge: Counter = Counter()
-    nonedge: Counter = Counter()
-    for u in range(g.n):
-        ru = rows[u]
-        for v in range(u + 1, g.n):
-            lam = (ru & rows[v]).bit_count()
-            if (ru >> v) & 1:
-                edge[lam] += 1
-            else:
-                nonedge[lam] += 1
-    return LambdaProfile(tuple(sorted(edge.items())), tuple(sorted(nonedge.items())))
+    """Common-neighbor counts over edges and non-edges, from A A.
+
+    The product runs in float32, exact here: every entry is a count of at
+    most n < 2^24.  It is formed a block of rows at a time, each row from
+    its own column onward, so no n x n temporary appears.
+    """
+    n = g.n
+    a = dense_adjacency(g, np.float32)
+    edge = np.zeros(n + 1, dtype=np.int64)
+    nonedge = np.zeros(n + 1, dtype=np.int64)
+    for r0 in range(0, n, _LAMBDA_ROWS):
+        r1 = min(r0 + _LAMBDA_ROWS, n)
+        lam = (a[r0:r1] @ a[:, r0:]).astype(np.int64)
+        upper = np.arange(r0, n) > np.arange(r0, r1)[:, None]
+        adj = a[r0:r1, r0:] != 0
+        edge += np.bincount(lam[upper & adj], minlength=n + 1)
+        nonedge += np.bincount(lam[upper & ~adj], minlength=n + 1)
+    return LambdaProfile(_histogram(edge), _histogram(nonedge))
+
+
+def _histogram(counts: np.ndarray) -> tuple[tuple[int, int], ...]:
+    return tuple((int(k), int(counts[k])) for k in np.flatnonzero(counts))
 
 
 def vertex_lambda_colors(g: Graph) -> list[int]:

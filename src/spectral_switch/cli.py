@@ -3,7 +3,8 @@
 Subcommands: build, switch, verify, recipe, search, spectrum.  Graph inputs
 accept a scheme-parameter string (J{2}(8,4), Jq{0}(6,3;q=2)) or a path to a
 graph6 or edge-list JSON file.  Exit codes: 0 success, 1 usage error,
-2 invalid spec, 3 inconclusive, 4 resource cap exceeded.
+2 invalid spec, 3 inconclusive, 4 resource cap exceeded, 5 graph too large
+for the charpoly kernel.
 """
 
 from __future__ import annotations
@@ -40,7 +41,13 @@ from .search import (
     search_gm4,
     search_wqh33,
 )
-from .spectra import cospectral, eigenvalues_float, random_primes, signature
+from .spectra import (
+    CharpolySizeError,
+    cospectral,
+    eigenvalues_float,
+    random_primes,
+    signature,
+)
 from .switching import (
     InvalidSpecError,
     apply_switching,
@@ -53,6 +60,7 @@ EXIT_USAGE = 1
 EXIT_INVALID_SPEC = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_CAP = 4
+EXIT_CHARPOLY_SIZE = 5
 
 
 class CliError(Exception):
@@ -238,13 +246,11 @@ def cmd_recipe(args) -> int:
             raise CliError(EXIT_CAP, str(exc))
         if isinstance(cause, BudgetExhaustedError):
             raise CliError(EXIT_INCONCLUSIVE, str(exc))
+        if isinstance(cause, CharpolySizeError):
+            raise CliError(EXIT_CHARPOLY_SIZE, f"charpoly size limit: {exc}")
         raise CliError(EXIT_INVALID_SPEC, str(exc))
     _emit_report(report.to_json_dict(), args.report)
-    if report.passed:
-        return EXIT_OK
-    if report.noniso_verdict.node_budget_exhausted:
-        return EXIT_INCONCLUSIVE
-    return EXIT_INCONCLUSIVE
+    return EXIT_OK if report.passed else EXIT_INCONCLUSIVE
 
 
 def cmd_search(args) -> int:
@@ -405,6 +411,9 @@ def main(argv=None) -> int:
     except BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    except CharpolySizeError as exc:
+        print(f"error: charpoly size limit: {exc}", file=sys.stderr)
+        return EXIT_CHARPOLY_SIZE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_SPEC

@@ -286,6 +286,17 @@ def intersection_size(u, v) -> int:
     raise TypeError(f"mixed or unknown vertex types {type(u).__name__}, {type(v).__name__}")
 
 
+def _popcount(x):
+    """Set bits of each element of a uint64 array."""
+    import numpy as np
+
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(x)
+    # numpy < 2: count the eight bytes of each element through a table
+    table = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+    return table[x[..., None].view(np.uint8)].sum(axis=-1, dtype=np.uint8)
+
+
 def _johnson_rows(masks: list[int], S: frozenset, k: int) -> list[int]:
     n_vertices = len(masks)
     ground_bits = max(m.bit_length() for m in masks) if masks else 0
@@ -300,7 +311,7 @@ def _johnson_rows(masks: list[int], S: frozenset, k: int) -> list[int]:
         chunk = max(1, (1 << 22) // n_vertices)
         for lo in range(0, n_vertices, chunk):
             hi = min(lo + chunk, n_vertices)
-            cnt = np.bitwise_count(arr[lo:hi, None] & arr[None, :])
+            cnt = _popcount(arr[lo:hi, None] & arr[None, :])
             adj = lut[cnt]
             adj[np.arange(hi - lo), np.arange(lo, hi)] = False  # no self-loops
             packed = np.packbits(adj, axis=1, bitorder="little")

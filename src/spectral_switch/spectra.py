@@ -1,13 +1,29 @@
 """Characteristic polynomials modulo random 31-bit primes.
 
 Cospectrality of integer adjacency matrices is decided by comparing
-char(xI - A) over F_p for several primes drawn deterministically from a
-seed.  A disagreement is a certain "not cospectral"; agreement is one-sided
-Monte Carlo with the error bound reported in the verdict.
+det(xI - A) over F_p for primes drawn deterministically from a seed, one
+prime at a time.  The first disagreement is a certain "not cospectral";
+agreement at every prime is one-sided Monte Carlo with the error bound
+reported in the verdict.
 
-The per-prime computation reduces A to Hessenberg form by similarity over
-F_p (vectorized int64 arithmetic, safe for p < 2^31), then runs the
-division-free leading-principal-minor recurrence.
+Per prime, A is reduced to upper Hessenberg form by a Gaussian similarity
+over F_p, then the division-free leading-principal-minor recurrence reads
+off the polynomial.  The matrix stays in float64 throughout, with entries in
+[0, p).  Every product is exact mod p: one operand is split into three
+11-bit limbs, so a limb times an entry stays below 2^42, and the inner
+dimension is cut into chunks of at most 2048, so every float64 sum stays
+below 2^53.  The three partial products are reduced to balanced residues,
+r - rint(r/p) p, which recombine below 2^53; a result is reduced as
+r - floor(r/p) p.  Only the small products inside a panel run in int64.
+
+The reduction is blocked and its updates delayed, in the manner of
+FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  A panel of
+BLOCK columns is eliminated left-looking: each column is formed from the
+matrix as it stood when the panel began, one product A f per nonzero pivot
+before it, and the inverse of the panel's transform, a unit lower
+triangular BLOCK x BLOCK matrix grown by one row per column.  At the end of
+the panel its transform reaches the rows above it and the trailing columns
+in one matrix product per chunk of at most COL_CHUNK columns.
 """
 
 from __future__ import annotations
@@ -16,6 +32,7 @@ import hashlib
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +42,10 @@ from .graphcore import Graph
 __all__ = [
     "is_probable_prime",
     "random_primes",
+    "MAX_CHARPOLY_N",
+    "CharpolySizeError",
     "charpoly_mod_p",
+    "dense_adjacency",
     "CharPolySignature",
     "signature",
     "CospectralVerdict",
@@ -34,6 +54,19 @@ __all__ = [
 ]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+MAX_CHARPOLY_N = 1 << 15  # largest vertex count charpoly_mod_p accepts
+BLOCK = 64  # panel width of the Hessenberg reduction
+COL_CHUNK = 64  # trailing columns updated per matrix product
+_LIMB = 2048.0  # limb radix 2^11: a limb times an entry < 2^31 stays below 2^42
+_MAX_INNER = 2048  # inner dimension per product: 2048 such terms stay below 2^53
+_SHIFTS = np.array([0, 11, 22])
+_WEIGHTS = np.array([1.0, _LIMB, _LIMB**2])
+_SCALES = np.array([1, 1 << 11, 1 << 22])
+
+
+class CharpolySizeError(ValueError):
+    """The graph has more vertices than the charpoly kernel accepts."""
 
 
 def is_probable_prime(n: int) -> bool:
@@ -74,76 +107,200 @@ def random_primes(count: int, seed: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _adjacency_int64(g: Graph) -> np.ndarray:
+def dense_adjacency(g: Graph, dtype=np.float64) -> np.ndarray:
+    """The n x n 0/1 adjacency matrix of g, unpacked from its bit rows."""
     n = g.n
     nbytes = (n + 7) // 8
-    buf = bytearray(n * nbytes)
-    for v, row in enumerate(g.rows):
-        buf[v * nbytes:(v + 1) * nbytes] = row.to_bytes(nbytes, "little")
+    buf = b"".join(row.to_bytes(nbytes, "little") for row in g.rows)
     bits = np.unpackbits(
-        np.frombuffer(bytes(buf), dtype=np.uint8).reshape(n, nbytes),
+        np.frombuffer(buf, dtype=np.uint8).reshape(n, nbytes),
         axis=1, bitorder="little", count=n,
     )
-    return bits.astype(np.int64)
+    return bits.astype(dtype)
 
 
-def _matvec_mod(mat: np.ndarray, vec: np.ndarray, p: int) -> np.ndarray:
-    """(mat @ vec) mod p without int64 overflow; entries in [0, p), p < 2^31.
+def _reduce(r: np.ndarray, p: int) -> np.ndarray:
+    """r mod p in place, for a float64 array of integers with |r| < 2^53.
 
-    The vector is split into 16-bit halves so each accumulated dot product
-    stays below 2^63 for inner dimensions up to 2^15.
+    floor(r / p) is exact there: the division rounds by less than
+    |r/p| 2^-53 < 1/p, while r/p lies at least 1/p from the next integer
+    up, so the remainder lands in [0, p) with no fix-up.
     """
-    lo = vec & 0xFFFF
-    hi = vec >> 16
-    acc = mat @ lo % p
-    if hi.any():
-        acc = (acc + ((mat @ hi % p) << 16)) % p
-    return acc
+    q = r / p
+    np.floor(q, out=q)
+    q *= p
+    r -= q
+    return r
 
 
-def _hessenberg_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """In-place similarity reduction to upper Hessenberg form over F_p."""
+def _limbs(b: np.ndarray) -> np.ndarray:
+    """Limbs of b along a new last axis, as float64: b = l0 + 2^11 l1 +
+    2^22 l2 with every l_i in [0, 2^11), for integers b in [0, 2^33)."""
+    x = b.astype(np.int64, copy=False)[..., None] >> _SHIFTS
+    x &= 2047
+    return x.astype(np.float64)
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) mod p in [0, p), exact, for float64 a with entries in
+    [0, 2^31) and b (a matrix or a vector) with entries in [0, 2^33)."""
+    return _mulmod_limbs(a, _limbs(b), p)
+
+
+def _mulmod_limbs(a: np.ndarray, bl: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) mod p from the limbs bl = _limbs(b).
+
+    One product per inner chunk of at most 2048 gives the partial products
+    r_i of all three limbs.  Each is reduced to a balanced residue, at most
+    p/2 + 1 in absolute value, so r0 + 2^11 r1 + 2^22 r2 stays below
+    2^52 + 2^42 and takes one more reduction.
+    """
+    k = a.shape[1]
+    out = None
+    for s in range(0, max(k, 1), _MAX_INNER):
+        ak = a[:, s:s + _MAX_INNER]
+        blk = bl[s:s + _MAX_INNER]
+        if bl.ndim == 2:
+            prod = blk.T @ ak.T  # limbs x rows: BLAS streams a once, fastest way round
+        else:
+            prod = ak @ blk.reshape(blk.shape[0], -1)
+        q = prod / p
+        np.rint(q, out=q)
+        q *= p
+        prod -= q
+        if bl.ndim == 2:
+            acc = _WEIGHTS @ prod
+        else:
+            acc = (prod.reshape(-1, 3) @ _WEIGHTS).reshape(a.shape[0], -1)
+        _reduce(acc, p)
+        out = acc if out is None else out + acc
+    if k > _MAX_INNER:
+        _reduce(out, p)
+    return out
+
+
+def _mulmod_small(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) mod p for int64 a with entries below 2^31, b with entries
+    below 2^32 and an inner dimension below 2^15: b is split into 16-bit
+    halves, so every sum stays below 2^62."""
+    r = a @ (b >> 16) % p
+    r <<= 16
+    r += a @ (b & 0xFFFF)
+    return r % p
+
+
+def _hessenberg(a: np.ndarray, p: int) -> np.ndarray:
+    """In-place similarity reduction to upper Hessenberg form over F_p.
+
+    Step j makes column j zero below row j + 1, with the first nonzero entry
+    at or below row j + 1 swapped up as the pivot; steps are grouped into
+    panels of BLOCK columns.
+    """
     n = a.shape[0]
-    for j in range(n - 2):
-        col = a[j + 1:, j]
-        if col[0] == 0:
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
-                continue
-            i = j + 1 + int(nz[0])
-            a[[j + 1, i], :] = a[[i, j + 1], :]
-            a[:, [j + 1, i]] = a[:, [i, j + 1]]
-        pivot = int(a[j + 1, j])
-        inv = pow(pivot, p - 2, p)
-        fs = a[j + 2:, j] * inv % p
-        if fs.any():
-            # row ops: row_i -= f_i * row_{j+1}; f*row < 2^62, no overflow
-            a[j + 2:, j:] = (a[j + 2:, j:] - fs[:, None] * a[j + 1, j:]) % p
-            # matching column op: col_{j+1} += sum_i f_i * col_i
-            a[:, j + 1] = (a[:, j + 1] + _matvec_mod(a[:, j + 2:], fs, p)) % p
+    for j0 in range(0, n - 2, BLOCK):
+        _hessenberg_panel(a, p, j0, min(j0 + BLOCK, n - 2))
     return a
 
 
+def _hessenberg_panel(a: np.ndarray, p: int, j0: int, j1: int) -> None:
+    """Steps j0 .. j1-1 of the reduction, then their update of the rest of a.
+
+    The steps multiply a on the right by M = I + V E^T and on the left by
+    M^-1 = I - V W E^T, where column c of V holds the multipliers of step
+    j0 + c, E picks rows j0+1 .. j1, and W is the inverse of I + E^T V.
+    Until the panel ends, a holds the panel-start matrix, row and column
+    swaps applied, except that each finished column is written back.
+    """
+    n = a.shape[0]
+    bb = j1 - j0
+    lo = a[j0 + 1:]  # row j0 + 1 + i of a is row i of lo, V and Y
+    m = lo.shape[0]
+    vl = np.zeros((m, bb, 3))  # V, kept as its limbs
+    y = np.zeros((m, bb))  # Y = lo @ V, the product A f of each step
+    w = np.zeros((bb, bb), dtype=np.int64)  # entries are residues in (0, p]
+    for c in range(bb):
+        j = j0 + c
+        # column j of M^-1 A M; M e_j = e_j + V e_(c-1)
+        if c:
+            z = lo[:, j] + y[:, c - 1]
+            # V u meets the limbs of V with u 2^(11 i) mod p: one product,
+            # below 3 BLOCK 2^42 < 2^53
+            u = _mulmod_small(w[:c, :c], z[:c].astype(np.int64), p)
+            us = u[:, None] * _SCALES % p
+            z -= vl[:, :c].reshape(m, 3 * c) @ us.ravel().astype(np.float64)
+            _reduce(z, p)
+        else:
+            z = lo[:, j].copy()
+        nz = z[c:].nonzero()[0]
+        if nz.size:
+            i = c + int(nz[0])
+            if i != c:
+                r, s = j + 1, j0 + 1 + i
+                a[[r, s]] = a[[s, r]]
+                a[:, [r, s]] = a[:, [s, r]]
+                for arr in (vl, y, z):
+                    arr[[c, i]] = arr[[i, c]]
+            inv = pow(int(z[c]), p - 2, p)
+            f = z[c + 1:].astype(np.int64) * inv % p
+            if f.any():
+                fl = _limbs(f)
+                vl[c + 1:, c] = fl
+                y[:, c] = _mulmod_limbs(lo[:, j + 2:], fl, p)
+        z[c + 1:] = 0
+        lo[:, j] = z
+        # row c of I + E^T V is V[c, :c]; append the matching row of W
+        w[c, c] = 1
+        if c:
+            vc = (vl[c, :c] @ _WEIGHTS).astype(np.int64)
+            w[c, :c] = p - _mulmod_small(w[:c, :c].T, vc, p)
+    # rows above the panel are outside V: they take A M only
+    top = a[:j0 + 1, j0 + 1:j1 + 1]
+    top += _mulmod_limbs(a[:j0 + 1, j0 + 2:], vl[1:], p)
+    top[top >= p] -= p
+    col = lo[:, j1]
+    col += y[:, bb - 1]
+    col[col >= p] -= p
+    # trailing columns: A M differs from A only in column j1; then M^-1.
+    # V's limbs meet X, 2^11 X and 2^22 X along one inner dimension of
+    # 3 BLOCK <= 2048, so each chunk takes one product and one reduction.
+    vl = vl.reshape(m, 3 * bb)
+    wf = w.astype(np.float64)
+    for s in range(j1, n, COL_CHUNK):
+        blk = lo[:, s:s + COL_CHUNK]
+        x = _mulmod(wf, blk[:bb], p)
+        xs = _reduce(x[:, None, :] * _WEIGHTS[:, None], p)
+        blk -= vl @ xs.reshape(3 * bb, -1)
+        _reduce(blk, p)
+
+
 def _charpoly_from_hessenberg(h: np.ndarray, p: int) -> np.ndarray:
-    """Ascending coefficients of det(xI - H) mod p for Hessenberg H."""
+    """Ascending coefficients of det(xI - H) mod p for Hessenberg H.
+
+    With c_m the polynomial of the leading m x m block,
+    c_m = x c_(m-1) - sum_(i < m) h[i, m-1] h[i+1, i] ... h[m-1, m-2] c_i.
+    A zero subdiagonal h[s, s-1] removes every term with i < s, so the sum
+    runs only from the last zero subdiagonal.
+    """
     n = h.shape[0]
-    c = np.zeros((n + 1, n + 1), dtype=np.int64)
-    c[0, 0] = 1
-    pv = np.zeros(0, dtype=np.int64)  # pv[r] = prod of subdiagonal h[j, j-1], r < j <= m-1
+    c = np.zeros((n + 1, n + 1))
+    c[0, 0] = 1.0
+    s = 0
+    prods = np.ones(n, dtype=np.int64)  # subdiagonal products, live for i = s .. m-1
     for m in range(1, n + 1):
-        hm = int(h[m - 1, m - 1])
-        c[m, 1:m + 1] = c[m - 1, 0:m]
-        if hm:
-            c[m, 0:m] = (c[m, 0:m] - hm * c[m - 1, 0:m]) % p
-        if m >= 2:
-            v = h[0:m - 1, m - 1] * pv % p
-            if v.any():
-                contrib = _matvec_mod(np.ascontiguousarray(c[0:m - 1, 0:m].T), v, p)
-                c[m, 0:m] = (c[m, 0:m] - contrib) % p
+        v = h[s:m, m - 1].astype(np.int64) * prods[s:m] % p
+        row = c[m]
+        row[1:m + 1] = c[m - 1, :m]
+        row[:m] -= _mulmod(c[s:m, :m].T, v, p)
+        np.add(row, p, out=row, where=row < 0)
         if m < n:
-            pv = np.concatenate((pv, np.ones(1, dtype=np.int64)))
-            pv = pv * int(h[m, m - 1]) % p
-    return c[n] % p
+            sub = int(h[m, m - 1])
+            if sub:
+                live = prods[s:m]
+                live *= sub
+                live %= p
+            else:
+                s = m
+    return c[n]
 
 
 def charpoly_mod_p(g: Graph, p: int) -> tuple[int, ...]:
@@ -153,12 +310,13 @@ def charpoly_mod_p(g: Graph, p: int) -> tuple[int, ...]:
     if p >= 1 << 31:
         raise ValueError(f"modulus {p} too large; need p < 2^31")
     n = g.n
-    if n > 1 << 15:
-        raise ValueError(f"n={n} too large for the overflow-safe kernel")
+    if n > MAX_CHARPOLY_N:
+        raise CharpolySizeError(
+            f"n={n} exceeds the charpoly kernel's limit of {MAX_CHARPOLY_N} vertices")
     if n == 0:
         return (1,)
-    a = _hessenberg_mod(_adjacency_int64(g), p)
-    asc = _charpoly_from_hessenberg(a, p)
+    h = _hessenberg(dense_adjacency(g), p)
+    asc = _charpoly_from_hessenberg(h, p)
     return tuple(int(x) for x in asc[::-1])
 
 
@@ -218,13 +376,31 @@ class CospectralVerdict:
         return out
 
 
+# A proven lower bound on the number of primes in (2^30, 2^31), from
+# x / (ln x - 1) <= pi(x) for x >= 5393 and pi(x) <= x / (ln x - 1.1) for
+# x >= 60184 (Dusart, arXiv:1002.0442); one is taken off for
+# the rounding of the floats.
+_PRIMES_IN_RANGE = math.floor(2**31 / (31 * math.log(2) - 1)
+                              - 2**30 / (30 * math.log(2) - 1.1)) - 1
+
+
 def _equal_error_bound(n: int, num_primes: int) -> float:
-    # Hadamard: every coefficient is at most binom(n, i) * i^(i/2) in absolute
-    # value, so log2 |coeff| <= n + (n/2) log2 n; a coefficient mismatch
-    # survives modulo at most that many bits / 30 of the 31-bit primes
-    log2_max = n + 0.5 * n * math.log2(max(n, 2))
-    bad = (n * log2_max) / 30.0
-    return min(1.0, bad * 2.0 ** (-30.0 * num_primes))
+    """Chance that non-cospectral graphs agree at num_primes random primes.
+
+    Every coefficient is a sum of principal minors, at most
+    H = 2^n n^(n/2) in absolute value (Hadamard), so a nonzero coefficient
+    difference d has |d| <= 2H and at most B = floor(log2(2H) / 30) prime
+    factors above 2^30.  The primes are distinct and uniform over the N
+    primes in (2^30, 2^31), so all of them divide d with chance at most
+    prod_j B / (N - j).
+    """
+    # bit length of (2H)^2 = 2^(2n+2) n^n, an integer
+    bits = 2 * n + 2 + (n**n).bit_length()
+    bad = (bits - 1) // 60
+    bound = 1.0
+    for j in range(num_primes):
+        bound *= bad / (_PRIMES_IN_RANGE - j)
+    return min(1.0, bound)
 
 
 def cospectral(g1: Graph, g2: Graph, num_primes: int = 3, seed: int = 0,
@@ -232,23 +408,27 @@ def cospectral(g1: Graph, g2: Graph, num_primes: int = 3, seed: int = 0,
     """One-sided Monte Carlo cospectrality test.
 
     "Not equal" is certain; "equal" holds up to the reported error bound.
-    Graphs on different vertex counts are never cospectral.
+    Primes are tried one at a time and the test stops at the first that
+    separates the graphs; with threads > 1 the two graphs of a prime run in
+    parallel.  Graphs on different vertex counts are never cospectral.
     """
     if num_primes < 1:
         raise ValueError("need at least one prime")
     if g1.n != g2.n:
         return CospectralVerdict(False, (), None, None)
     primes = random_primes(num_primes, seed)
-    sig1 = signature(g1, primes, threads)
-    sig2 = signature(g2, primes, threads)
-    for p, c1, c2 in zip(primes, sig1.coeffs, sig2.coeffs):
-        if c1 != c2:
-            idx = next(i for i, (a, b) in enumerate(zip(c1, c2)) if a != b)
-            return CospectralVerdict(False, primes, (p, idx), None)
+    with ThreadPoolExecutor(max_workers=2) if threads > 1 else nullcontext() as ex:
+        for k, p in enumerate(primes):
+            if ex is None:
+                c1, c2 = charpoly_mod_p(g1, p), charpoly_mod_p(g2, p)
+            else:
+                c1, c2 = ex.map(charpoly_mod_p, (g1, g2), (p, p))
+            if c1 != c2:
+                idx = next(i for i, (a, b) in enumerate(zip(c1, c2)) if a != b)
+                return CospectralVerdict(False, primes[:k + 1], (p, idx), None)
     return CospectralVerdict(True, primes, None, _equal_error_bound(g1.n, num_primes))
 
 
 def eigenvalues_float(g: Graph) -> list[float]:
     """Floating adjacency eigenvalues, ascending; diagnostics only."""
-    a = _adjacency_int64(g).astype(np.float64)
-    return [float(x) for x in np.linalg.eigvalsh(a)]
+    return [float(x) for x in np.linalg.eigvalsh(dense_adjacency(g))]

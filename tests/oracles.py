@@ -1,9 +1,9 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything here is deliberately written against different algorithms than
-the package: exact Faddeev-LeVerrier instead of Hessenberg mod p, vector-set
-closure instead of RREF enumeration, itertools set counting instead of
-bitmask rows.  Slow and simple on purpose.
+the package: exact Faddeev-LeVerrier or a plain determinant mod p instead of
+Hessenberg mod p, vector-set closure instead of RREF enumeration, itertools
+set counting instead of bitmask rows.  Slow and simple on purpose.
 """
 
 from itertools import combinations
@@ -25,6 +25,28 @@ def charpoly_exact(g):
         coeffs.append(c)
         m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
     return coeffs
+
+
+def det_mod_p(mat, p):
+    """Determinant of a square integer matrix (list of rows) modulo a prime,
+    by plain Gaussian elimination over F_p with Python ints."""
+    a = [[x % p for x in row] for row in mat]
+    n = len(a)
+    det = 1
+    for i in range(n):
+        piv = next((r for r in range(i, n) if a[r][i]), None)
+        if piv is None:
+            return 0
+        if piv != i:
+            a[i], a[piv] = a[piv], a[i]
+            det = -det
+        det = det * a[i][i] % p
+        inv = pow(a[i][i], p - 2, p)
+        for r in range(i + 1, n):
+            f = a[r][i] * inv % p
+            if f:
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[i])]
+    return det % p
 
 
 def subspace_counts_by_dim(n: int, q: int, max_dim: int) -> dict:

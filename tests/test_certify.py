@@ -50,6 +50,22 @@ def test_lambda_profile_hand_checks():
     assert p.nonedge == ((1, 1),)
 
 
+def test_lambda_profile_matches_pairwise_count():
+    # more rows than one block of the row-chunked product
+    from collections import Counter
+
+    g = random_graph(300, 0.3, 7)
+    nbrs = [{x for x in range(g.n) if g.has_edge(u, x)} for u in range(g.n)]
+    edge, nonedge = Counter(), Counter()
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            (edge if v in nbrs[u] else nonedge)[len(nbrs[u] & nbrs[v])] += 1
+    p = lambda_profile(g)
+    assert p.edge == tuple(sorted(edge.items()))
+    assert p.nonedge == tuple(sorted(nonedge.items()))
+    assert lambda_profile(Graph.from_edges(0, [])) == lambda_profile(Graph.from_edges(1, []))
+
+
 def test_lambda_profile_json():
     d = lambda_profile(cycle(4)).to_json_dict()
     assert d == {"edge": [[0, 4]], "nonedge": [[2, 2]]}

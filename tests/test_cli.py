@@ -83,6 +83,18 @@ def test_cap_flag_and_env(capsys, monkeypatch):
     assert "not an integer" in err
 
 
+def test_charpoly_size_limit_exit_code(capsys, monkeypatch):
+    from spectral_switch import spectra
+
+    monkeypatch.setattr(spectra, "MAX_CHARPOLY_N", 5)
+    code, _, err = run(capsys, "spectrum", "--graph", "J{0}(5,2)")
+    assert code == cli.EXIT_CHARPOLY_SIZE == 5
+    assert "charpoly size limit" in err
+    code, _, err = run(capsys, "recipe", "j2n4", "--n", "8")
+    assert code == cli.EXIT_CHARPOLY_SIZE
+    assert "charpoly size limit" in err
+
+
 def test_missing_graph_file(capsys):
     code, _, err = run(capsys, "spectrum", "--graph", "no-such-file.g6")
     assert code == cli.EXIT_USAGE

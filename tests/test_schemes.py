@@ -1,4 +1,5 @@
 import networkx as nx
+import numpy as np
 import pytest
 
 from spectral_switch.algebra import field_table, rref, MatrixFq
@@ -12,6 +13,7 @@ from spectral_switch.schemes import (
     VertexCapExceeded,
     _grassmann_rows_generic,
     _grassmann_rows_q2,
+    _johnson_rows,
     _subspace_bases,
     build,
     count_vertices,
@@ -120,6 +122,15 @@ def test_degree_formula_vs_direct_count():
                     (11, 4, {1})):
         p = SchemeParams.johnson(n, k, S)
         assert degree_formula(p) == johnson_degree_direct(n, k, S), (n, k, S)
+
+
+def test_johnson_rows_without_bitwise_count(monkeypatch):
+    """The popcount fallback for numpy < 2 builds the same rows."""
+    masks = [v.mask for v in enumerate_vertices(SchemeParams.johnson(8, 4, {2}))]
+    want = _johnson_rows(masks, frozenset({2}), 4)
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    assert _johnson_rows(masks, frozenset({2}), 4) == want
+    assert tuple(want) == build(SchemeParams.johnson(8, 4, {2})).rows
 
 
 def test_degree_formula_matches_build(petersen, k242):
