@@ -9,14 +9,12 @@ dropped is the canonical representative of a row space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb as binom  # re-exported; exact for all n >= 0
 
 __all__ = [
     "binom",
     "gauss_binom",
     "FieldTable",
-    "FieldElem",
     "field_table",
     "SUPPORTED_Q",
     "MatrixFq",
@@ -162,9 +160,6 @@ class FieldTable:
                     if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
                         raise AssertionError(f"distributivity fails in F_{q}")
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add[a][self.neg[b]]
-
     def __repr__(self):
         return f"FieldTable(q={self.q})"
 
@@ -180,51 +175,13 @@ def field_table(q: int) -> FieldTable:
     return tab
 
 
-@dataclass(frozen=True)
-class FieldElem:
-    """An element of F_q, by value in 0..q-1."""
-
-    value: int
-    field: FieldTable
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.q:
-            raise ValueError(f"value {self.value} out of range for F_{self.field.q}")
-
-    def __add__(self, other: "FieldElem") -> "FieldElem":
-        self._same(other)
-        return FieldElem(self.field.add[self.value][other.value], self.field)
-
-    def __sub__(self, other: "FieldElem") -> "FieldElem":
-        self._same(other)
-        return FieldElem(self.field.sub(self.value, other.value), self.field)
-
-    def __mul__(self, other: "FieldElem") -> "FieldElem":
-        self._same(other)
-        return FieldElem(self.field.mul[self.value][other.value], self.field)
-
-    def __neg__(self) -> "FieldElem":
-        return FieldElem(self.field.neg[self.value], self.field)
-
-    def inverse(self) -> "FieldElem":
-        if self.value == 0:
-            raise ZeroDivisionError(f"0 has no inverse in F_{self.field.q}")
-        return FieldElem(self.field.inv[self.value], self.field)
-
-    def _same(self, other):
-        if self.field.q != other.field.q:
-            raise ValueError(f"mixed fields F_{self.field.q} and F_{other.field.q}")
-
-
 class MatrixFq:
     """Immutable matrix over F_q; entries stored as ints in 0..q-1."""
 
     __slots__ = ("field", "rows", "ncols")
 
     def __init__(self, field: FieldTable, rows, ncols: int | None = None):
-        rows = tuple(
-            tuple(e.value if isinstance(e, FieldElem) else int(e) for e in row) for row in rows
-        )
+        rows = tuple(tuple(int(e) for e in row) for row in rows)
         if rows:
             ncols = len(rows[0]) if ncols is None else ncols
             for row in rows:
@@ -243,9 +200,6 @@ class MatrixFq:
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def entry(self, i: int, j: int) -> FieldElem:
-        return FieldElem(self.rows[i][j], self.field)
 
     def stack(self, other: "MatrixFq") -> "MatrixFq":
         if other.field.q != self.field.q or other.ncols != self.ncols:

@@ -18,7 +18,7 @@ import hashlib
 from collections import deque
 from typing import Sequence
 
-from .graphcore import Graph, encode_graph6
+from .graphcore import Graph, _mask, encode_graph6
 
 __all__ = [
     "BudgetExhaustedError",
@@ -42,20 +42,6 @@ class BudgetExhaustedError(RuntimeError):
         self.budget = budget
 
 
-def _initial_cells(n: int, colors: Sequence[int] | None):
-    """(ordered cells, (color, size) signature) of the initial coloring."""
-    if colors is None:
-        cells = [tuple(range(n))] if n else []
-        return cells, tuple((0, n) for _ in cells)
-    if len(colors) != n:
-        raise ValueError("need one color per vertex")
-    buckets: dict[int, list[int]] = {}
-    for v in range(n):
-        buckets.setdefault(colors[v], []).append(v)
-    keys = sorted(buckets)
-    return [tuple(buckets[c]) for c in keys], tuple((c, len(buckets[c])) for c in keys)
-
-
 def _refine(rows, cells, queue):
     """Refine cells against the splitter queue; returns (cells, trace).
 
@@ -76,27 +62,31 @@ def _refine(rows, cells, queue):
                     parts = [tuple(groups[c]) for c in sorted(groups)]
                     cells[i:i + 1] = parts
                     trace.append((i, tuple((c, len(groups[c])) for c in sorted(groups))))
-                    for part in parts:
-                        m = 0
-                        for v in part:
-                            m |= 1 << v
-                        queue.append(m)
+                    queue.extend(_mask(part) for part in parts)
                     i += len(parts) - 1
             i += 1
     return cells, tuple(trace)
 
 
+def _refine_root(g: Graph, colors: Sequence[int] | None):
+    """(cells, (color, size) signature, trace) of the refined initial coloring."""
+    if colors is None:
+        colors = [0] * g.n
+    elif len(colors) != g.n:
+        raise ValueError("need one color per vertex")
+    buckets: dict[int, list[int]] = {}
+    for v in range(g.n):
+        buckets.setdefault(colors[v], []).append(v)
+    keys = sorted(buckets)
+    cells = [tuple(buckets[c]) for c in keys]
+    init_sig = tuple((c, len(buckets[c])) for c in keys)
+    cells, trace = _refine(g.rows, cells, deque(_mask(c) for c in cells))
+    return cells, init_sig, trace
+
+
 def refine_partition(g: Graph, colors: Sequence[int] | None = None):
     """Equitable refinement of the initial coloring; list of vertex tuples."""
-    cells, _ = _initial_cells(g.n, colors)
-    queue = deque()
-    for cell in cells:
-        m = 0
-        for v in cell:
-            m |= 1 << v
-        queue.append(m)
-    cells, _ = _refine(g.rows, cells, queue)
-    return cells
+    return _refine_root(g, colors)[0]
 
 
 def _individualize_refine(rows, cells, target_idx, v):
@@ -228,14 +218,7 @@ class _Search:
 
 
 def _run_search(g: Graph, budget: int, colors):
-    cells, init_sig = _initial_cells(g.n, colors)
-    queue = deque()
-    for cell in cells:
-        m = 0
-        for v in cell:
-            m |= 1 << v
-        queue.append(m)
-    cells, root_trace = _refine(g.rows, cells, queue)
+    cells, init_sig, root_trace = _refine_root(g, colors)
     search = _Search(g.rows, g.n, budget)
     search.run(cells)
     return search, init_sig, root_trace

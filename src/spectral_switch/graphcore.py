@@ -12,26 +12,14 @@ from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Graph",
-    "vertex_set",
     "encode_graph6",
     "decode_graph6",
     "Graph6ParseError",
 ]
 
 
-def vertex_set(vertices: Iterable[int], n: int) -> tuple[int, ...]:
-    """Validate and normalize a set of vertex indices to a sorted tuple."""
-    vs = tuple(sorted(int(v) for v in vertices))
-    for a, b in zip(vs, vs[1:]):
-        if a == b:
-            raise ValueError(f"duplicate vertex {a}")
-    if vs and (vs[0] < 0 or vs[-1] >= n):
-        bad = vs[0] if vs[0] < 0 else vs[-1]
-        raise ValueError(f"vertex {bad} out of range for n={n}")
-    return vs
-
-
 def _mask(vertices: Iterable[int]) -> int:
+    """Bitmask with bit v set for each vertex v."""
     m = 0
     for v in vertices:
         m |= 1 << v

@@ -5,6 +5,12 @@ J_{q,S}(n,k): vertices are the k-dimensional subspaces of F_q^n, adjacency by
 intersection dimension in S.  S is a set of sizes in {0..k-1}; S = {0} gives
 the Kneser and q-Kneser graphs.
 
+Both families share one adjacency kernel on bitmasks.  A subset is its own
+mask.  A subspace is the set of its projective points: two k-spaces over F_q
+meet in dimension d exactly when they share (q^d - 1)/(q - 1) points, so the
+Grassmann graph is the Johnson kernel applied to point masks, with the
+allowed counts {(q^s - 1)/(q - 1) : s in S}.
+
 Vertex order is canonical and deterministic: subsets ascend by bitmask value
 (colex), subspaces sort by pivot-column tuple then by the flattened RREF
 entries.  Builds refuse to enumerate past a configurable vertex cap.
@@ -29,7 +35,6 @@ __all__ = [
     "enumerate_vertices",
     "build",
     "degree_formula",
-    "intersection_size",
     "johnson_rank",
     "mask_of_elements",
     "elements_of_mask",
@@ -271,21 +276,6 @@ def johnson_rank(mask: int) -> int:
     return r
 
 
-def intersection_size(u, v) -> int:
-    """|u cap v| for set vertices, dim(u cap v) for subspace vertices."""
-    if isinstance(u, SetVertex) and isinstance(v, SetVertex):
-        if u.n != v.n:
-            raise ValueError("vertices from different ground sets")
-        return (u.mask & v.mask).bit_count()
-    if isinstance(u, SubspaceVertex) and isinstance(v, SubspaceVertex):
-        if (u.n, u.q) != (v.n, v.q):
-            raise ValueError("vertices from different ambient spaces")
-        from .algebra import intersection_dim
-
-        return intersection_dim(u.basis, v.basis)
-    raise TypeError(f"mixed or unknown vertex types {type(u).__name__}, {type(v).__name__}")
-
-
 def _popcount(x):
     """Set bits of each element of a uint64 array."""
     import numpy as np
@@ -297,90 +287,55 @@ def _popcount(x):
     return table[x[..., None].view(np.uint8)].sum(axis=-1, dtype=np.uint8)
 
 
-def _johnson_rows(masks: list[int], S: frozenset, k: int) -> list[int]:
-    n_vertices = len(masks)
-    ground_bits = max(m.bit_length() for m in masks) if masks else 0
-    if ground_bits <= 63 and n_vertices > 64:
-        import numpy as np
+def _point_masks(bases: list[MatrixFq]) -> list[int]:
+    """Bitmask of the projective points each subspace contains.
 
-        arr = np.array(masks, dtype=np.uint64)
-        lut = np.zeros(k + 1, dtype=bool)
-        for s in S:
-            lut[s] = True
-        rows = [0] * n_vertices
-        chunk = max(1, (1 << 22) // n_vertices)
-        for lo in range(0, n_vertices, chunk):
-            hi = min(lo + chunk, n_vertices)
-            cnt = _popcount(arr[lo:hi, None] & arr[None, :])
-            adj = lut[cnt]
-            adj[np.arange(hi - lo), np.arange(lo, hi)] = False  # no self-loops
-            packed = np.packbits(adj, axis=1, bitorder="little")
-            for i in range(hi - lo):
-                rows[lo + i] = int.from_bytes(packed[i].tobytes(), "little")
-        return rows
-    rows = [0] * n_vertices
-    sset = S
-    for i in range(n_vertices):
-        mi = masks[i]
-        ri = rows[i]
-        for j in range(i + 1, n_vertices):
-            if (mi & masks[j]).bit_count() in sset:
-                ri |= 1 << j
-                rows[j] |= 1 << i
-        rows[i] = ri
-    return rows
-
-
-def _grassmann_rows_q2(bases: list[MatrixFq], S: frozenset, k: int) -> list[int]:
-    """Adjacency rows over F_2 with basis rows packed as bitmask ints."""
-    packed = []
+    For an RREF basis, the combinations whose first nonzero coefficient is 1
+    are exactly the normalized representatives (first nonzero entry 1) of the
+    subspace's points.  Points get bit indices in first-seen order.
+    """
+    index: dict[tuple[int, ...], int] = {}
+    masks = []
     for b in bases:
-        rws = tuple(sum(e << j for j, e in enumerate(row)) for row in b.rows)
-        packed.append((rws, b.pivot_columns()))
-    nv = len(packed)
-    rows = [0] * nv
-    sset = S
-    for i in range(nv):
-        arows, apiv = packed[i]
-        pivrows = tuple(zip(apiv, arows))
-        ri = rows[i]
-        for j in range(i + 1, nv):
-            # rank(stack(a, b)) = k + rank of b's rows reduced by a, since a
-            # is RREF: clearing b's bits at a's pivot columns is one pass
-            red = []
-            for r in packed[j][0]:
-                for pc, ar in pivrows:
-                    if (r >> pc) & 1:
-                        r ^= ar
-                while r:
-                    h = r.bit_length()
-                    for hb, e in red:
-                        if hb == h:
-                            r ^= e
-                            break
-                    else:
-                        red.append((h, r))
-                        break
-            if k - len(red) in sset:
-                ri |= 1 << j
-                rows[j] |= 1 << i
-        rows[i] = ri
-    return rows
+        add, mul = b.field.add, b.field.mul
+        m = 0
+        for i, lead in enumerate(b.rows):
+            vecs = [lead]
+            for row in b.rows[i + 1:]:
+                vecs = [tuple(add[x][mul[c][y]] for x, y in zip(v, row))
+                        for v in vecs for c in range(b.field.q)]
+            for v in vecs:
+                m |= 1 << index.setdefault(v, len(index))
+        masks.append(m)
+    return masks
 
 
-def _grassmann_rows_generic(bases: list[MatrixFq], S: frozenset, k: int, q: int) -> list[int]:
-    from .algebra import intersection_dim
+def _johnson_rows(masks: list[int], counts) -> list[int]:
+    """Adjacency rows: i ~ j iff |masks[i] & masks[j]| is in counts.
 
-    nv = len(bases)
-    rows = [0] * nv
-    for i in range(nv):
-        bi = bases[i]
-        ri = rows[i]
-        for j in range(i + 1, nv):
-            if intersection_dim(bi, bases[j]) in S:
-                ri |= 1 << j
-                rows[j] |= 1 << i
-        rows[i] = ri
+    Each mask has more set bits than the largest count, so no vertex is its
+    own neighbour.  Masks of any width are split into 64-bit words and the
+    popcounts of the words are summed.
+    """
+    import numpy as np
+
+    n_vertices = len(masks)
+    words = (max(masks).bit_length() + 63) // 64
+    arr = np.frombuffer(
+        b"".join(m.to_bytes(8 * words, "little") for m in masks), dtype="<u8"
+    ).reshape(n_vertices, words)
+    lut = np.zeros(64 * words + 1, dtype=bool)
+    lut[sorted(counts)] = True
+    rows = [0] * n_vertices
+    chunk = max(1, (1 << 22) // n_vertices)  # bounds the & temporary
+    for lo in range(0, n_vertices, chunk):
+        hi = min(lo + chunk, n_vertices)
+        cnt = np.zeros((hi - lo, n_vertices), dtype=np.min_scalar_type(64 * words))
+        for w in range(words):
+            cnt += _popcount(arr[lo:hi, w, None] & arr[None, :, w])
+        packed = np.packbits(lut[cnt], axis=1, bitorder="little")
+        for i in range(hi - lo):
+            rows[lo + i] = int.from_bytes(packed[i].tobytes(), "little")
     return rows
 
 
@@ -389,12 +344,11 @@ def build(p: SchemeParams, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     verts = enumerate_vertices(p, cap)
     labels = [v.label() for v in verts]
     if p.kind == "johnson":
-        rows = _johnson_rows([v.mask for v in verts], p.S, p.k)
-    elif p.q == 2:
-        rows = _grassmann_rows_q2([v.basis for v in verts], p.S, p.k)
+        masks, counts = [v.mask for v in verts], p.S
     else:
-        rows = _grassmann_rows_generic([v.basis for v in verts], p.S, p.k, p.q)
-    return Graph(len(verts), rows, labels, validate=False)
+        masks = _point_masks([v.basis for v in verts])
+        counts = {(p.q ** s - 1) // (p.q - 1) for s in p.S}
+    return Graph(len(verts), _johnson_rows(masks, counts), labels, validate=False)
 
 
 def degree_formula(p: SchemeParams) -> int:

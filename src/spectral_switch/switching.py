@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .graphcore import Graph, vertex_set
+from .graphcore import Graph, _mask
 
 __all__ = [
     "GmSpec",
@@ -35,7 +35,6 @@ __all__ = [
     "apply_gm",
     "apply_wqh",
     "apply_switching",
-    "classify_outside_vertex",
     "spec_to_json_dict",
     "spec_from_json_dict",
 ]
@@ -43,13 +42,6 @@ __all__ = [
 
 class InvalidSpecError(ValueError):
     """A switching spec that fails its structural or graph-side conditions."""
-
-
-def _mask(vs) -> int:
-    m = 0
-    for v in vs:
-        m |= 1 << v
-    return m
 
 
 @dataclass(frozen=True)
@@ -234,23 +226,6 @@ def validate(g: Graph, spec) -> ValidationReport:
     if isinstance(spec, WqhSpec):
         return validate_wqh(g, spec)
     raise TypeError(f"unknown spec type {type(spec).__name__}")
-
-
-def classify_outside_vertex(g: Graph, spec, v: int):
-    """The class tag validation assigns to an outside vertex v.
-
-    GM: tuple of gm-zero/gm-half/gm-full per cell.  WQH: full-c1, full-c2,
-    or balanced.  Raises if v lies in a cell or matches no class.
-    """
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    if v in spec.all_vertices():
-        raise ValueError(f"vertex {v} is inside a switching cell")
-    report = validate(g, spec)
-    tag = report.outside_classes[v]
-    if tag is None or (isinstance(tag, tuple) and None in tag):
-        raise InvalidSpecError(f"vertex {v} falls outside every switching class")
-    return tag
 
 
 def apply_gm(g: Graph, spec: GmSpec, report: ValidationReport | None = None) -> Graph:

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from spectral_switch.algebra import (
-    FieldElem,
     MatrixFq,
     SUPPORTED_Q,
     binom,
@@ -91,18 +90,6 @@ def test_field_table_rejects_unsupported():
         field_table(6)
     with pytest.raises(ValueError):
         field_table(12)
-
-
-def test_field_elem_operators():
-    f4 = field_table(4)
-    a = FieldElem(2, f4)
-    b = FieldElem(3, f4)
-    assert (a + b).value == f4.add[2][3]
-    assert (a * b).value == f4.mul[2][3]
-    assert (-a + a).value == 0
-    assert (a.inverse() * a).value == 1
-    with pytest.raises(ZeroDivisionError):
-        FieldElem(0, f4).inverse()
 
 
 def test_rref_hand_cases():

@@ -1,8 +1,10 @@
+import random
+
 import networkx as nx
 import numpy as np
 import pytest
 
-from spectral_switch.algebra import field_table, rref, MatrixFq
+from spectral_switch.algebra import intersection_dim
 from spectral_switch.canon import canonical_form
 from spectral_switch.graphcore import Graph
 from spectral_switch.schemes import (
@@ -11,15 +13,13 @@ from spectral_switch.schemes import (
     SetVertex,
     SubspaceVertex,
     VertexCapExceeded,
-    _grassmann_rows_generic,
-    _grassmann_rows_q2,
     _johnson_rows,
+    _point_masks,
     _subspace_bases,
     build,
     count_vertices,
     degree_formula,
     enumerate_vertices,
-    intersection_size,
     johnson_rank,
     mask_of_elements,
 )
@@ -89,7 +89,6 @@ def test_johnson_enumeration_order_and_rank():
 def test_set_vertex_labels():
     v = SetVertex.from_elements((1, 2, 5), 6)
     assert v.label() == "{1,2,5}"
-    assert intersection_size(v, SetVertex.from_elements((2, 5, 6), 6)) == 2
 
 
 def test_subspace_enumeration():
@@ -125,12 +124,19 @@ def test_degree_formula_vs_direct_count():
 
 
 def test_johnson_rows_without_bitwise_count(monkeypatch):
-    """The popcount fallback for numpy < 2 builds the same rows."""
+    """The popcount fallback for numpy < 2 builds the same rows, also on
+    point masks wider than one 64-bit word (121 points of F_3^5)."""
     masks = [v.mask for v in enumerate_vertices(SchemeParams.johnson(8, 4, {2}))]
-    want = _johnson_rows(masks, frozenset({2}), 4)
+    want = _johnson_rows(masks, {2})
+    gp = SchemeParams.grassmann(5, 2, {1}, 3)
+    qmasks = _point_masks(_subspace_bases(5, 2, 3))
+    assert max(qmasks).bit_length() == 121
+    qwant = _johnson_rows(qmasks, {1})
     monkeypatch.delattr(np, "bitwise_count", raising=False)
-    assert _johnson_rows(masks, frozenset({2}), 4) == want
+    assert _johnson_rows(masks, {2}) == want
+    assert _johnson_rows(qmasks, {1}) == qwant
     assert tuple(want) == build(SchemeParams.johnson(8, 4, {2})).rows
+    assert tuple(qwant) == build(gp).rows
 
 
 def test_degree_formula_matches_build(petersen, k242):
@@ -138,6 +144,8 @@ def test_degree_formula_matches_build(petersen, k242):
     assert k242.is_regular() == degree_formula(SchemeParams.parse("Jq{0}(4,2;q=2)")) == 16
     g = build(SchemeParams.parse("J{1,2}(10,5)"))
     assert g.is_regular() == degree_formula(SchemeParams.parse("J{1,2}(10,5)")) == 125
+    p = SchemeParams.parse("Jq{0}(5,2;q=3)")
+    assert build(p).is_regular() == degree_formula(p) == 1053
 
 
 def test_build_labels():
@@ -148,14 +156,34 @@ def test_build_labels():
     assert gq.labels[0].startswith("<")
 
 
-def test_grassmann_fast_path_matches_generic():
-    """The packed F_2 kernel and the field-table elimination are independent
-    implementations; they must produce identical adjacency."""
-    for n, k, S in ((4, 2, {0}), (4, 2, {1}), (5, 2, {0, 1})):
-        bases = _subspace_bases(n, k, 2)
-        fast = _grassmann_rows_q2(bases, frozenset(S), k)
-        slow = _grassmann_rows_generic(bases, frozenset(S), k, 2)
-        assert fast == slow, (n, k, S)
+def _assert_matches_intersection_dim(p: SchemeParams, pairs):
+    g = build(p)
+    bases = [v.basis for v in enumerate_vertices(p)]
+    for i, j in pairs:
+        want = i != j and intersection_dim(bases[i], bases[j]) in p.S
+        assert g.has_edge(i, j) == want, (p.format(), i, j)
+
+
+@pytest.mark.parametrize("text", [
+    "Jq{0}(4,2;q=2)", "Jq{1}(4,2;q=2)", "Jq{0,1}(5,2;q=2)", "Jq{2}(5,3;q=2)", "Jq{0}(3,1;q=2)",
+    "Jq{0}(4,2;q=3)", "Jq{1}(3,2;q=3)", "Jq{1}(4,3;q=4)", "Jq{0}(3,1;q=4)",
+    "Jq{1}(3,2;q=5)",
+])
+def test_grassmann_build_matches_intersection_dim(text):
+    """Every pair of a small Grassmann graph against rank-based intersection."""
+    p = SchemeParams.parse(text)
+    n = count_vertices(p)
+    _assert_matches_intersection_dim(p, ((i, j) for i in range(n) for j in range(i, n)))
+
+
+@pytest.mark.parametrize("text", ["Jq{0}(7,2;q=2)", "Jq{1}(5,2;q=3)", "Jq{1}(4,2;q=5)"])
+def test_grassmann_build_matches_intersection_dim_multiword(text):
+    """Point masks of 127, 121 and 156 bits span two or three words."""
+    p = SchemeParams.parse(text)
+    n = count_vertices(p)
+    rng = random.Random(7)
+    _assert_matches_intersection_dim(
+        p, [(rng.randrange(n), rng.randrange(n)) for _ in range(2000)])
 
 
 def test_grassmann_q3_small():
@@ -188,12 +216,3 @@ def test_complement_params():
     assert p.complement_params().S == frozenset({0, 1, 3})
     with pytest.raises(ValueError):
         SchemeParams.johnson(5, 2, {0, 1}).complement_params()  # empty S
-
-
-def test_intersection_size_mixed_types_rejected():
-    sv = SetVertex.from_elements((1, 2), 5)
-    f2 = field_table(2)
-    qb = rref(MatrixFq(f2, [[1, 0, 0, 0]]))
-    qv = SubspaceVertex(qb, 4, 1, 2)
-    with pytest.raises(TypeError):
-        intersection_size(sv, qv)

@@ -12,7 +12,6 @@ from spectral_switch.switching import (
     InvalidSpecError,
     WqhSpec,
     apply_switching,
-    classify_outside_vertex,
     spec_from_json_dict,
     spec_to_json_dict,
     validate,
@@ -92,18 +91,6 @@ def test_wqh_switch_hand_example():
     assert sorted(mate.neighbors(6)) == [3, 4, 5]
     # 7 balanced (1,1): untouched
     assert sorted(mate.neighbors(7)) == [0, 3]
-
-
-def test_classify_outside_vertex():
-    g = Graph.from_edges(6, [(0, 4), (1, 4)])
-    spec = GmSpec([[0, 1, 2, 3]])
-    assert classify_outside_vertex(g, spec, 4) == ("gm-half",)
-    assert classify_outside_vertex(g, spec, 5) == ("gm-zero",)
-    with pytest.raises(ValueError):
-        classify_outside_vertex(g, spec, 0)
-    g2 = Graph.from_edges(6, [(0, 4)])
-    with pytest.raises(InvalidSpecError):
-        classify_outside_vertex(g2, spec, 4)
 
 
 def test_switching_involution_on_recipes(corpus_reports):
