@@ -200,7 +200,7 @@ def cmd_verify(args) -> int:
         return EXIT_INVALID_SPEC
     mate = apply_switching(g, spec)
     cv = cospectral(g, mate, num_primes=args.primes, seed=args.seed,
-                    threads=args.threads)
+                    threads=args.threads, spec=spec)
     nv = nonisomorphic(g, mate, args.budget)
     out["cospectral"] = cv.to_json_dict()
     out["nonisomorphic"] = nv.to_json_dict()

@@ -3,7 +3,8 @@
 Each recipe bundles scheme parameters, a switching spec in the canonical
 vertex order, and witness assertions (expected common-neighbor changes or
 selective-count values).  run_recipe builds the graph, validates and applies
-the switch, decides cospectrality, checks every witness, and runs the
+the switch, decides cospectrality (proved by the spec's switching matrix, with
+charpolys only if that check fails), checks every witness, and runs the
 non-isomorphism ladder, aggregating everything into one JSON-serializable
 report.
 """
@@ -24,7 +25,6 @@ from .graphcore import Graph
 from .schemes import (
     DEFAULT_VERTEX_CAP,
     SchemeParams,
-    SubspaceVertex,
     enumerate_vertices,
     johnson_rank,
     mask_of_elements,
@@ -51,7 +51,7 @@ __all__ = [
     "REPORT_SCHEMA_VERSION",
 ]
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 class RecipeStageError(RuntimeError):
@@ -463,7 +463,8 @@ def run_recipe(r: Recipe, num_primes: int = 3, seed: int = 0, threads: int = 1,
     except Exception as exc:
         raise RecipeStageError("switch", exc)
     try:
-        cv = cospectral(g, mate, num_primes=num_primes, seed=seed, threads=threads)
+        cv = cospectral(g, mate, num_primes=num_primes, seed=seed, threads=threads,
+                        spec=r.spec)
     except Exception as exc:
         raise RecipeStageError("cospectral", exc)
     try:

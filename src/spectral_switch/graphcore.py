@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 __all__ = [
     "Graph",
     "encode_graph6",
@@ -24,6 +26,14 @@ def _mask(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def _packed_rows(g: "Graph") -> np.ndarray:
+    """The n x ceil(n/8) uint8 bit matrix of g's rows: bit u % 8 of byte
+    u // 8 in row v is set iff u ~ v."""
+    nbytes = (g.n + 7) // 8
+    buf = b"".join(row.to_bytes(nbytes, "little") for row in g.rows)
+    return np.frombuffer(buf, dtype=np.uint8).reshape(g.n, nbytes)
 
 
 class Graph:

@@ -1,6 +1,9 @@
-"""Characteristic polynomials modulo random 31-bit primes.
+"""Cospectrality: switching certificates and charpolys modulo 31-bit primes.
 
-Cospectrality of integer adjacency matrices is decided by comparing
+When the caller holds the switching spec that relates a pair, cospectral
+first checks Q^T A Q = A' exactly for the spec's switching matrix Q
+(switching.switching_certificate); if that holds, "cospectral" is a proof
+and no charpoly is computed.  Any other pair is decided by comparing
 det(xI - A) over F_p for primes drawn deterministically from a seed, one
 prime at a time.  The first disagreement is a certain "not cospectral";
 agreement at every prime is one-sided Monte Carlo with the error bound
@@ -37,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphcore import Graph
+from .graphcore import Graph, _packed_rows
+from .switching import switching_certificate
 
 __all__ = [
     "is_probable_prime",
@@ -109,13 +113,7 @@ def random_primes(count: int, seed: int) -> tuple[int, ...]:
 
 def dense_adjacency(g: Graph, dtype=np.float64) -> np.ndarray:
     """The n x n 0/1 adjacency matrix of g, unpacked from its bit rows."""
-    n = g.n
-    nbytes = (n + 7) // 8
-    buf = b"".join(row.to_bytes(nbytes, "little") for row in g.rows)
-    bits = np.unpackbits(
-        np.frombuffer(buf, dtype=np.uint8).reshape(n, nbytes),
-        axis=1, bitorder="little", count=n,
-    )
+    bits = np.unpackbits(_packed_rows(g), axis=1, bitorder="little", count=g.n)
     return bits.astype(dtype)
 
 
@@ -362,11 +360,13 @@ class CospectralVerdict:
     primes_used: tuple[int, ...]
     first_disagreeing_coefficient: tuple[int, int] | None
     error_bound: float | None
+    method: str = "charpoly"  # "switching": an exact certificate; "charpoly": primes
 
     def to_json_dict(self) -> dict:
         out = {
             "equal": self.equal,
             "primes_used": list(self.primes_used),
+            "method": self.method,
         }
         if self.first_disagreeing_coefficient is not None:
             p, i = self.first_disagreeing_coefficient
@@ -404,16 +404,22 @@ def _equal_error_bound(n: int, num_primes: int) -> float:
 
 
 def cospectral(g1: Graph, g2: Graph, num_primes: int = 3, seed: int = 0,
-               threads: int = 1) -> CospectralVerdict:
-    """One-sided Monte Carlo cospectrality test.
+               threads: int = 1, spec=None) -> CospectralVerdict:
+    """Decide whether g1 and g2 are cospectral.
 
-    "Not equal" is certain; "equal" holds up to the reported error bound.
+    With a switching spec whose matrix Q satisfies Q^T A1 Q = A2
+    (switching.switching_certificate), "equal" is a proof: method
+    "switching", no primes, error bound 0.  Otherwise, or with no spec, the
+    one-sided Monte Carlo charpoly test runs (method "charpoly"): "not
+    equal" is certain and "equal" holds up to the reported error bound.
     Primes are tried one at a time and the test stops at the first that
     separates the graphs; with threads > 1 the two graphs of a prime run in
     parallel.  Graphs on different vertex counts are never cospectral.
     """
     if num_primes < 1:
         raise ValueError("need at least one prime")
+    if spec is not None and switching_certificate(g1, g2, spec):
+        return CospectralVerdict(True, (), None, 0.0, "switching")
     if g1.n != g2.n:
         return CospectralVerdict(False, (), None, None)
     primes = random_primes(num_primes, seed)

@@ -14,6 +14,9 @@ in both.  Switching complements the adjacency between the first two kinds of
 outside vertices and all of C_1 u C_2.
 
 Both operations preserve the characteristic polynomial and are involutions.
+Each is conjugation by a rational orthogonal matrix Q, block-diagonal over
+the cells and the identity elsewhere; switching_certificate checks
+Q^T A Q = A' exactly, which proves a pair cospectral without a charpoly.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .graphcore import Graph, _mask
+import numpy as np
+
+from .graphcore import Graph, _mask, _packed_rows
 
 __all__ = [
     "GmSpec",
@@ -35,6 +40,7 @@ __all__ = [
     "apply_gm",
     "apply_wqh",
     "apply_switching",
+    "switching_certificate",
     "spec_to_json_dict",
     "spec_from_json_dict",
 ]
@@ -283,6 +289,86 @@ def apply_switching(g: Graph, spec) -> Graph:
     if isinstance(spec, WqhSpec):
         return apply_wqh(g, spec)
     raise TypeError(f"unknown spec type {type(spec).__name__}")
+
+
+def _switching_blocks(spec) -> list[tuple[tuple[int, ...], np.ndarray, int]]:
+    """(vertices, P, L) for each diagonal block of the spec's Q, with Q = P / L
+    on those vertices: P = J - (m/2) I, L = m/2 on a GM cell of size m, and
+    P = [[mI - J, J], [J, mI - J]], L = m on a WQH pair of m + m vertices."""
+    if isinstance(spec, GmSpec):
+        out = []
+        for c in spec.cells:
+            half = len(c) // 2
+            p = np.ones((len(c), len(c)), dtype=np.int64)
+            p -= half * np.eye(len(c), dtype=np.int64)
+            out.append((c, p, half))
+        return out
+    if isinstance(spec, WqhSpec):
+        m = len(spec.c1)
+        j = np.ones((m, m), dtype=np.int64)
+        d = m * np.eye(m, dtype=np.int64) - j
+        return [(spec.c1 + spec.c2, np.block([[d, j], [j, d]]), m)]
+    raise TypeError(f"unknown spec type {type(spec).__name__}")
+
+
+def switching_certificate(g: Graph, mate: Graph, spec) -> bool:
+    """True iff Q^T A Q = A' for the switching matrix Q of spec, where A and
+    A' are the adjacency matrices of g and mate; then the pair is cospectral.
+
+    Q has one block per GM cell or WQH pair (see _switching_blocks) and is
+    the identity elsewhere.  Everything is checked exactly in int64, each
+    block scaled by its own L: P^T P = L^2 I for every block; the rows and
+    columns that meet the cells through products of at most |cells| x n
+    entries; the rest, where Q is the identity, by comparing bit rows off the
+    cell mask.  A scaled entry is at most (3/2 m_a)(3/2 m_b) < 3 n^2 for
+    blocks of m_a and m_b vertices, inside int64 for any n < 2^30.  Only g,
+    mate and spec are read: the answer does not depend on the spec being
+    valid.
+    """
+    blocks = _switching_blocks(spec)
+    cells = [v for vs, _, _ in blocks for v in vs]
+    _check_spec_range(g, cells)
+    n = g.n
+    if mate.n != n or len(set(cells)) != len(cells):
+        return False
+    for _, p, scale in blocks:
+        if not np.array_equal(p.T @ p, scale * scale * np.eye(len(p), dtype=np.int64)):
+            return False
+    inside = _mask(cells)
+    off = ((1 << n) - 1) ^ inside
+    for v, (a, b) in enumerate(zip(g.rows, mate.rows)):
+        if (a ^ b) & off and not (inside >> v) & 1:
+            return False
+    idx = np.array(cells)
+    out = np.ones(n, dtype=bool)
+    out[idx] = False
+    shift = (idx & 7).astype(np.uint8)
+
+    def lines(h: Graph) -> tuple[np.ndarray, np.ndarray]:
+        """A[cells, :] and A[:, cells] for h's adjacency matrix A."""
+        packed = _packed_rows(h)
+        rows = np.unpackbits(packed[idx], axis=1, bitorder="little", count=n)
+        cols = (packed[:, idx >> 3] >> shift) & 1
+        return rows.astype(np.int64), cols.astype(np.int64)
+
+    (ra, ca), (rm, cm) = lines(g), lines(mate)
+    starts = np.cumsum([0] + [len(p) for _, p, _ in blocks])
+    slices = [slice(a, b) for a, b in zip(starts, starts[1:])]
+    scales = np.repeat([s for _, _, s in blocks], np.diff(starts))
+    # L_b (A Q) on each block's columns; its off-cell rows must be L_b A'
+    aq = np.empty((len(cells), len(cells)), dtype=np.int64)
+    for sl, (_, p, scale) in zip(slices, blocks):
+        z = ca[:, sl] @ p
+        if not np.array_equal(z[out], scale * cm[out, sl]):
+            return False
+        aq[:, sl] = z[idx]
+    # L_a (Q^T A) off the cells, and L_a L_b (Q^T A Q) on cell blocks
+    for sl, (_, p, scale) in zip(slices, blocks):
+        if not np.array_equal(p.T @ ra[sl][:, out], scale * rm[sl][:, out]):
+            return False
+        if not np.array_equal(p.T @ aq[sl], scale * scales * cm[idx[sl]]):
+            return False
+    return True
 
 
 def _resolve_vertices(entries, g: Graph | None):

@@ -90,9 +90,13 @@ def test_charpoly_size_limit_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "spectrum", "--graph", "J{0}(5,2)")
     assert code == cli.EXIT_CHARPOLY_SIZE == 5
     assert "charpoly size limit" in err
-    code, _, err = run(capsys, "recipe", "j2n4", "--n", "8")
-    assert code == cli.EXIT_CHARPOLY_SIZE
-    assert "charpoly size limit" in err
+    # a recipe's pair is proved cospectral by its switching matrix, so the
+    # charpoly limit never applies to it
+    code, out, _ = run(capsys, "recipe", "j2n4", "--n", "8")
+    assert code == cli.EXIT_OK
+    doc = json.loads(out)
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["cospectral"]["method"] == "switching"
 
 
 def test_missing_graph_file(capsys):
@@ -146,6 +150,7 @@ def test_verify_passing(tmp_path, capsys):
     assert doc["passed"] is True
     assert doc["validation"]["valid"] is True
     assert doc["cospectral"]["equal"] is True
+    assert doc["cospectral"]["method"] == "switching"
     assert doc["nonisomorphic"]["distinguished"] is True
     assert json.loads(report_path.read_text()) == doc
 

@@ -8,7 +8,6 @@ from spectral_switch.algebra import intersection_dim
 from spectral_switch.canon import canonical_form
 from spectral_switch.graphcore import Graph
 from spectral_switch.schemes import (
-    DEFAULT_VERTEX_CAP,
     SchemeParams,
     SetVertex,
     SubspaceVertex,
@@ -21,7 +20,6 @@ from spectral_switch.schemes import (
     degree_formula,
     enumerate_vertices,
     johnson_rank,
-    mask_of_elements,
 )
 
 from oracles import johnson_degree_direct

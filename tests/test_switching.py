@@ -1,12 +1,13 @@
+import itertools
 import json
 import random
 
 import pytest
 
-from spectral_switch.families import all_recipes
+from spectral_switch.families import recipe_j2n4, recipe_qkneser
 from spectral_switch.graphcore import Graph
 from spectral_switch.schemes import build
-from spectral_switch.spectra import charpoly_mod_p
+from spectral_switch.spectra import charpoly_mod_p, cospectral
 from spectral_switch.switching import (
     GmSpec,
     InvalidSpecError,
@@ -14,6 +15,7 @@ from spectral_switch.switching import (
     apply_switching,
     spec_from_json_dict,
     spec_to_json_dict,
+    switching_certificate,
     validate,
 )
 
@@ -151,6 +153,7 @@ def test_planted_gm_cells_randomized():
         mate = apply_switching(g, spec)
         assert apply_switching(mate, spec) == g
         assert charpoly_mod_p(g, p) == charpoly_mod_p(mate, p)
+        assert switching_certificate(g, mate, spec)
         # flip one cell edge of an outside vertex with count 2: now 1 or 3
         v = next(u for u in range(4, g.n)
                  if (g.rows[u] & 0b1111).bit_count() == 2)
@@ -159,6 +162,57 @@ def test_planted_gm_cells_randomized():
         rows[0] ^= 1 << v
         broken = Graph(g.n, rows)
         assert not validate(broken, spec).valid
+
+
+def test_recipe_pairs_proved_by_switching_certificate(corpus_reports):
+    verdicts = {name: rep.cospectral_verdict for name, rep in corpus_reports.items()}
+    for r in (recipe_qkneser(6, 3), *map(recipe_j2n4, range(9, 13))):
+        g = build(r.params)
+        verdicts[r.name] = cospectral(g, apply_switching(g, r.spec), spec=r.spec)
+    assert len(verdicts) == 11
+    for name, v in verdicts.items():
+        assert v.equal and v.method == "switching", name
+        assert v.error_bound == 0 and v.primes_used == (), name
+
+
+@pytest.mark.parametrize("name", ["j2n4(n=8)", "qkneser(n=4,k=2)"])
+@pytest.mark.parametrize("where", ["cells", "cell-outside", "outside"])
+def test_toggled_mate_edge_fails_certificate(corpus_reports, name, where):
+    rep = corpus_reports[name]
+    g, spec = rep.graph, rep.recipe.spec
+    cells = spec.all_vertices()
+    outside = [v for v in range(g.n) if v not in cells]
+    u, v = {"cells": (cells[0], cells[-1]),
+            "cell-outside": (cells[0], outside[0]),
+            "outside": (outside[0], outside[-1])}[where]
+    rows = list(rep.mate.rows)
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+    bad = Graph(g.n, rows)
+    assert switching_certificate(g, rep.mate, spec)
+    assert not switching_certificate(g, bad, spec)
+    cv = cospectral(g, bad, spec=spec)
+    assert cv.method == "charpoly" and cv.equal is False
+
+
+@pytest.mark.parametrize("complete", [True, False], ids=["K320", "empty320"])
+def test_certificate_exact_with_coprime_cell_sizes(complete):
+    """GM cells of sizes 2p for the primes p <= 31: one common denominator
+    for Q would be lcm(2, 3, ..., 31), about 2^37.5, and its square overflows
+    int64; scaling each block by its own m/2 stays exact."""
+    sizes = [2 * p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)]
+    n = sum(sizes)
+    assert n == 320
+    spec = GmSpec([range(s, s + m) for s, m in zip(itertools.accumulate([0] + sizes), sizes)])
+    full = (1 << n) - 1
+    g = Graph(n, [full ^ (1 << v) if complete else 0 for v in range(n)])
+    mate = apply_switching(g, spec)
+    assert switching_certificate(g, mate, spec)
+
+
+def test_certificate_range_checks_spec(petersen):
+    with pytest.raises(InvalidSpecError, match="out of range"):
+        switching_certificate(petersen, petersen, GmSpec([[0, 10]]))
 
 
 def test_spec_json_round_trip():
