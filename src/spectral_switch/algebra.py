@@ -206,16 +206,6 @@ class MatrixFq:
             raise ValueError("stack needs matching field and width")
         return MatrixFq(self.field, self.rows + other.rows, self.ncols)
 
-    def pivot_columns(self) -> tuple[int, ...]:
-        """Leading-entry column of each row; meaningful on RREF matrices."""
-        out = []
-        for row in self.rows:
-            for j, e in enumerate(row):
-                if e:
-                    out.append(j)
-                    break
-        return tuple(out)
-
     def is_rref(self) -> bool:
         piv = []
         for row in self.rows:
@@ -295,17 +285,3 @@ def intersection_dim(u: MatrixFq, v: MatrixFq) -> int:
     if u.ncols != v.ncols:
         raise ValueError(f"mixed ambient dimensions {u.ncols} and {v.ncols}")
     return rank(u) + rank(v) - rank(u.stack(v))
-
-
-def f2_rank(rows) -> int:
-    """Rank over F_2 of rows given as bitmask ints."""
-    basis: dict[int, int] = {}  # leading bit -> reduced row
-    for x in rows:
-        while x:
-            h = x.bit_length() - 1
-            b = basis.get(h)
-            if b is None:
-                basis[h] = x
-                break
-            x ^= b
-    return len(basis)

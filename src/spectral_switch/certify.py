@@ -117,6 +117,7 @@ def canonical_form(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> bytes:
     Seeds the search with the vertex lambda coloring, which is part of the
     documented canonical form (certificates embed the coloring signature).
     """
+    # imported per call, so perfbench's wrapper on canon.canonical_form sees it
     from .canon import canonical_form as base_form
 
     return base_form(g, budget, vertex_lambda_colors(g))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import MatrixFq, binom, field_table, rref
+from .algebra import MatrixFq, binom, field_table, intersection_dim, rref
 from .certify import (
     NonIsoVerdict,
     nonisomorphic,
@@ -30,7 +30,7 @@ from .schemes import (
     mask_of_elements,
 )
 from .spectra import CospectralVerdict, cospectral
-from .switching import GmSpec, WqhSpec, apply_switching, validate
+from .switching import GmSpec, WqhSpec, apply_switching, spec_to_json_dict, validate
 
 __all__ = [
     "Recipe",
@@ -195,9 +195,6 @@ class Recipe:
     witnesses: tuple
     provenance: str
 
-    def describe(self) -> str:
-        return f"{self.name}: {self.params.format()}, {len(self.witnesses)} witnesses"
-
 
 def _johnson_index(elements, n: int) -> int:
     return johnson_rank(mask_of_elements(elements, n))
@@ -298,8 +295,6 @@ def recipe_qkneser(n: int, k: int) -> Recipe:
         tau_gens = [_e(n, 4)]
     else:
         tau_gens = [_e(n, i) for i in range(k + 2, 2 * k + 1)]
-    from .algebra import intersection_dim
-
     tau = _f2_space(n, tau_gens)
     big = _f2_space(n, [p1, p2, p3] + pi_gens)
     if tau.nrows != k - 1:
@@ -422,7 +417,7 @@ class RecipeReport:
                 "m": self.graph.num_edges(),
                 "regular_degree": deg,
             },
-            "switching_spec": _spec_json(self.recipe.spec),
+            "switching_spec": spec_to_json_dict(self.recipe.spec),
             "validation": {
                 "valid": self.validation_valid,
                 "wqh_constant": self.wqh_constant,
@@ -436,16 +431,11 @@ class RecipeReport:
         }
 
 
-def _spec_json(spec) -> dict:
-    from .switching import spec_to_json_dict
-
-    return spec_to_json_dict(spec)
-
-
-def run_recipe(r: Recipe, num_primes: int = 3, seed: int = 0, threads: int = 1,
+def run_recipe(r: Recipe, num_primes: int = 3, seed: int = 0,
                budget: int = DEFAULT_NODE_BUDGET,
                cap: int = DEFAULT_VERTEX_CAP) -> RecipeReport:
     """Execute a recipe end to end; stage failures carry the stage name."""
+    # imported per call, so perfbench's wrapper on schemes.build sees it
     from .schemes import build
 
     try:
@@ -457,14 +447,13 @@ def run_recipe(r: Recipe, num_primes: int = 3, seed: int = 0, threads: int = 1,
         if not report.valid:
             first = report.violations[0]
             raise RecipeStageError("validate", ValueError(first.message))
-        mate = apply_switching(g, r.spec)
+        mate = apply_switching(g, r.spec, report)
     except RecipeStageError:
         raise
     except Exception as exc:
         raise RecipeStageError("switch", exc)
     try:
-        cv = cospectral(g, mate, num_primes=num_primes, seed=seed, threads=threads,
-                        spec=r.spec)
+        cv = cospectral(g, mate, num_primes=num_primes, seed=seed, spec=r.spec)
     except Exception as exc:
         raise RecipeStageError("cospectral", exc)
     try:

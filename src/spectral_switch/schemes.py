@@ -90,11 +90,6 @@ class SetVertex:
         if self.mask.bit_count() != self.k:
             raise ValueError(f"mask has {self.mask.bit_count()} elements, expected {self.k}")
 
-    @classmethod
-    def from_elements(cls, elements, n: int) -> "SetVertex":
-        m = mask_of_elements(elements, n)
-        return cls(m, n, m.bit_count())
-
     def elements(self) -> tuple[int, ...]:
         return elements_of_mask(self.mask)
 
@@ -193,11 +188,6 @@ class SchemeParams:
         if self.kind == "grassmann":
             return f"Jq{{{s}}}({self.n},{self.k};q={self.q})"
         return f"J{{{s}}}({self.n},{self.k})"
-
-    def complement_params(self) -> "SchemeParams":
-        """Same scheme with S replaced by {0..k-1} minus S."""
-        comp = frozenset(range(self.k)) - self.S
-        return SchemeParams(self.kind, self.n, self.k, comp, self.q)
 
     def __str__(self):
         return self.format()

@@ -20,7 +20,7 @@ from .certify import canonical_form, lambda_profile, vertex_lambda_colors
 from .graphcore import Graph
 from .schemes import johnson_rank, mask_of_elements
 from .spectra import random_primes, signature
-from .switching import GmSpec, WqhSpec, apply_switching
+from .switching import GmSpec, WqhSpec, apply_switching, spec_to_json_dict
 
 __all__ = [
     "SearchConfig",
@@ -55,8 +55,6 @@ class SearchResult:
     dedup_exact: bool | None = None  # None: dedup disabled
 
     def to_json_dict(self) -> dict:
-        from .switching import spec_to_json_dict
-
         out = {
             "specs": [spec_to_json_dict(s) for s in self.specs],
             "partial": self.partial,

@@ -37,8 +37,6 @@ __all__ = [
     "validate_gm",
     "validate_wqh",
     "validate",
-    "apply_gm",
-    "apply_wqh",
     "apply_switching",
     "switching_certificate",
     "spec_to_json_dict",
@@ -234,61 +232,38 @@ def validate(g: Graph, spec) -> ValidationReport:
     raise TypeError(f"unknown spec type {type(spec).__name__}")
 
 
-def apply_gm(g: Graph, spec: GmSpec, report: ValidationReport | None = None) -> Graph:
-    """GM-switched graph; refuses invalid specs."""
+def apply_switching(g: Graph, spec, report: ValidationReport | None = None) -> Graph:
+    """The switched graph; refuses invalid specs.  A caller holding
+    validate(g, spec) passes it as report, so the spec is validated once.
+
+    Each block (a GM cell, or C1 u C2 of a WQH pair) swaps its edges and
+    non-edges with the outside vertices switched against it: those seeing
+    half of that GM cell, or all of C1 or all of C2.
+    """
     if report is None:
-        report = validate_gm(g, spec)
-    if not report.valid:
-        raise InvalidSpecError(
-            f"GM conditions fail: {report.violations[0].message}"
-            + (f" (+{len(report.violations) - 1} more)" if len(report.violations) > 1 else "")
-        )
-    rows = list(g.rows)
-    for j, cj in enumerate(spec.cells):
-        mj = _mask(cj)
-        flip = 0
-        for v, tags in report.outside_classes.items():
-            if tags[j] == "gm-half":
-                flip |= 1 << v
-        if not flip:
-            continue
-        for u in cj:
-            rows[u] ^= flip
-        for v, tags in report.outside_classes.items():
-            if tags[j] == "gm-half":
-                rows[v] ^= mj
-    return Graph(g.n, rows, g.labels, validate=False)
-
-
-def apply_wqh(g: Graph, spec: WqhSpec, report: ValidationReport | None = None) -> Graph:
-    """WQH-switched graph; refuses invalid specs."""
-    if report is None:
-        report = validate_wqh(g, spec)
-    if not report.valid:
-        raise InvalidSpecError(
-            f"WQH conditions fail: {report.violations[0].message}"
-            + (f" (+{len(report.violations) - 1} more)" if len(report.violations) > 1 else "")
-        )
-    both = _mask(spec.c1) | _mask(spec.c2)
-    flip = 0
-    for v, tag in report.outside_classes.items():
-        if tag in ("full-c1", "full-c2"):
-            flip |= 1 << v
-    rows = list(g.rows)
-    for u in spec.all_vertices():
-        rows[u] ^= flip
-    for v, tag in report.outside_classes.items():
-        if tag in ("full-c1", "full-c2"):
-            rows[v] ^= both
-    return Graph(g.n, rows, g.labels, validate=False)
-
-
-def apply_switching(g: Graph, spec) -> Graph:
+        report = validate(g, spec)
+    classes = report.outside_classes
     if isinstance(spec, GmSpec):
-        return apply_gm(g, spec)
-    if isinstance(spec, WqhSpec):
-        return apply_wqh(g, spec)
-    raise TypeError(f"unknown spec type {type(spec).__name__}")
+        kind = "GM"
+        blocks = [(c, [v for v, tags in classes.items() if tags[j] == "gm-half"])
+                  for j, c in enumerate(spec.cells)]
+    else:
+        kind = "WQH"
+        blocks = [(spec.all_vertices(),
+                   [v for v, tag in classes.items() if tag in ("full-c1", "full-c2")])]
+    if not report.valid:
+        raise InvalidSpecError(
+            f"{kind} conditions fail: {report.violations[0].message}"
+            + (f" (+{len(report.violations) - 1} more)" if len(report.violations) > 1 else "")
+        )
+    rows = list(g.rows)
+    for block, switched in blocks:
+        bmask, smask = _mask(block), _mask(switched)
+        for u in block:
+            rows[u] ^= smask
+        for v in switched:
+            rows[v] ^= bmask
+    return Graph(g.n, rows, g.labels, validate=False)
 
 
 def _switching_blocks(spec) -> list[tuple[tuple[int, ...], np.ndarray, int]]:

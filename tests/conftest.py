@@ -1,7 +1,20 @@
 import pytest
 
+from spectral_switch import switching
 from spectral_switch.families import all_recipes, run_recipe
 from spectral_switch.schemes import SchemeParams, build
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Spec kinds passed to validate_gm and validate_wqh, one entry per call."""
+    calls = []
+    for name in ("validate_gm", "validate_wqh"):
+        def counted(g, spec, _real=getattr(switching, name)):
+            calls.append(type(spec).__name__)
+            return _real(g, spec)
+        monkeypatch.setattr(switching, name, counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

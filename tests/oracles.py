@@ -151,3 +151,18 @@ def selective_count_brute(g, a: int, b: int, c: int) -> int:
         if g.has_edge(x, a) and not g.has_edge(x, b) and not g.has_edge(x, c):
             count += 1
     return count
+
+
+def f2_rank(rows) -> int:
+    """Rank over F_2 of rows given as bitmask ints, by elimination on leading
+    bits."""
+    basis: dict[int, int] = {}  # leading bit -> reduced row
+    for x in rows:
+        while x:
+            h = x.bit_length() - 1
+            b = basis.get(h)
+            if b is None:
+                basis[h] = x
+                break
+            x ^= b
+    return len(basis)

@@ -123,6 +123,14 @@ def test_switch_applies_and_writes(tmp_path, capsys):
     assert decode_graph6(out_path.read_bytes().strip()).rows == mate.rows
 
 
+@pytest.mark.parametrize("command", ["switch", "verify"])
+def test_cli_validates_spec_once(tmp_path, capsys, validations, command):
+    spec_path = write_spec(tmp_path, recipe_j2n4(8).spec)
+    code, _, _ = run(capsys, command, "--graph", "J{2}(8,4)", "--spec", spec_path)
+    assert code == 0
+    assert validations == ["WqhSpec"]
+
+
 def test_switch_invalid_spec(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"gm": {"cells": [[0, 1, 2, 3]]}}))
@@ -192,6 +200,31 @@ def test_recipe_command(tmp_path, capsys):
     assert doc["kind"] == "recipe"
     assert doc["passed"] is True
     assert doc["recipe"]["name"] == "j2n4(n=8)"
+
+
+def test_recipe_stage_failures_exit_by_cause(capsys, monkeypatch):
+    from spectral_switch import families, spectra
+
+    code, _, err = run(capsys, "recipe", "j2n4", "--n", "8", "--cap", "10")
+    assert code == cli.EXIT_CAP
+    assert err.startswith("error: stage build: ")
+    # a pair the certificate does not prove falls back to charpolys, and
+    # then the charpoly size limit applies
+    monkeypatch.setattr(spectra, "switching_certificate", lambda *a: False)
+    monkeypatch.setattr(spectra, "MAX_CHARPOLY_N", 5)
+    code, _, err = run(capsys, "recipe", "j2n4", "--n", "8")
+    assert code == cli.EXIT_CHARPOLY_SIZE
+    assert err.startswith("error: charpoly size limit: stage cospectral: ")
+    monkeypatch.undo()
+
+    # a stage failing with an exception outside the table exits 2
+    def broken(*args):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(families, "nonisomorphic", broken)
+    code, _, err = run(capsys, "recipe", "j2n4", "--n", "8")
+    assert code == cli.EXIT_INVALID_SPEC
+    assert err.startswith("error: stage certify: boom")
 
 
 def test_recipe_usage_errors(capsys):

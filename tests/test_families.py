@@ -65,13 +65,6 @@ def test_qkneser_recipe_shape():
     assert isinstance(w, SelectiveTriple)
 
 
-def test_describe_mentions_name_and_params():
-    text = recipe_j2n4(8).describe()
-    assert "j2n4(n=8)" in text
-    assert "J{2}(8,4)" in text
-    assert "witnesses" in text
-
-
 def test_common_neighbor_change_witness():
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
     tri = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -130,6 +123,13 @@ def test_run_recipe_validate_failure():
     with pytest.raises(RecipeStageError) as err:
         run_recipe(bogus)
     assert err.value.stage == "validate"
+
+
+@pytest.mark.parametrize("recipe", [recipe_j2n4(8), recipe_halfrange_2kk(5)],
+                         ids=lambda r: r.name)
+def test_run_recipe_validates_spec_once(recipe, validations):
+    assert run_recipe(recipe).passed
+    assert validations == [type(recipe.spec).__name__]
 
 
 def test_corpus_reports_pass(corpus_reports):

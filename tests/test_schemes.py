@@ -20,6 +20,7 @@ from spectral_switch.schemes import (
     degree_formula,
     enumerate_vertices,
     johnson_rank,
+    mask_of_elements,
 )
 
 from oracles import johnson_degree_direct
@@ -85,7 +86,7 @@ def test_johnson_enumeration_order_and_rank():
 
 
 def test_set_vertex_labels():
-    v = SetVertex.from_elements((1, 2, 5), 6)
+    v = SetVertex(mask_of_elements((1, 2, 5), 6), 6, 3)
     assert v.label() == "{1,2,5}"
 
 
@@ -207,10 +208,3 @@ def test_complement_map_isomorphism():
         perm = [johnson_rank(full ^ v.mask)
                 for v in enumerate_vertices(SchemeParams.johnson(n, k, S))]
         assert g.relabel(perm).rows == h.rows, (n, k, S)
-
-
-def test_complement_params():
-    p = SchemeParams.johnson(8, 4, {2})
-    assert p.complement_params().S == frozenset({0, 1, 3})
-    with pytest.raises(ValueError):
-        SchemeParams.johnson(5, 2, {0, 1}).complement_params()  # empty S

@@ -102,11 +102,12 @@ def test_switching_involution_on_recipes(corpus_reports):
 
 
 def test_invalid_spec_application_refused(j284):
-    bad = GmSpec([[0, 1, 2, 3]])
-    report = validate(j284, bad)
-    if not report.valid:
-        with pytest.raises(InvalidSpecError):
-            apply_switching(j284, bad)
+    for bad, kind in ((GmSpec([[0, 1, 2, 3]]), "GM"), (WqhSpec([0, 1, 2], [3, 4, 5]), "WQH")):
+        report = validate(j284, bad)
+        assert not report.valid
+        for given in (None, report):
+            with pytest.raises(InvalidSpecError, match=f"^{kind} conditions fail: .* more\\)$"):
+                apply_switching(j284, bad, given)
 
 
 def _plant_gm_cell(rng, n=12):
