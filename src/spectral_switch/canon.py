@@ -2,11 +2,20 @@
 
 Equitable refinement splits an ordered partition by neighbor counts into
 splitter cells; the search tree individualizes vertices of the first
-smallest non-singleton cell.  The canonical leaf minimizes (refinement
-trace, relabeled adjacency bytes), which is label-invariant.  Discovered
+smallest non-singleton cell.  A partition is an order array of the vertices
+with a mask of cell starts, and one row sum of the 0/1 adjacency matrix
+counts every vertex against a splitter at once, so only cells whose counts
+differ are touched.  The canonical leaf minimizes (refinement trace,
+relabeled adjacency bytes), which is label-invariant.  Discovered
 automorphisms prune sibling branches (orbit pruning restricted to
 generators fixing the individualized prefix); refinement traces prune
 subtrees that can no longer reach the minimum.
+
+To prove two graphs isomorphic, label one and search the other for a leaf
+with the same certificate (match_certificate), with the same pruning; it
+stops at the first such leaf.  This is the isomorphism-test mode of
+McKay and Piperno, "Practical graph isomorphism, II" (J. Symbolic Comput.
+60, 2014).
 
 The search counts individualization nodes against a budget and raises
 BudgetExhaustedError instead of ever returning a wrong answer.
@@ -18,7 +27,10 @@ import hashlib
 from collections import deque
 from typing import Sequence
 
-from .graphcore import Graph, _mask, encode_graph6
+import numpy as np
+
+from .graphcore import Graph, encode_graph6
+from .spectra import dense_adjacency
 
 __all__ = [
     "BudgetExhaustedError",
@@ -26,6 +38,7 @@ __all__ = [
     "automorphism_generators",
     "canonical_labeling",
     "canonical_form",
+    "match_certificate",
     "refine_partition",
     "wl1_colors",
     "wl1_histogram",
@@ -42,34 +55,61 @@ class BudgetExhaustedError(RuntimeError):
         self.budget = budget
 
 
-def _refine(rows, cells, queue):
-    """Refine cells against the splitter queue; returns (cells, trace).
+def _refine(adj, order, bnd, queue):
+    """Refine the partition (order, bnd) in place against the splitter queue.
 
-    The trace records (cell position, (count, size) pairs) for every split,
-    which depends only on the isomorphism type of the colored graph.
+    The partition lists its cells as consecutive runs of `order`; bnd[p] is
+    set where a cell starts.  A splitter is a vertex or an array of them,
+    and one row (or row sum) of `adj` gives every vertex's count in it; only
+    the cells whose counts differ are split, stably by count.  Returns the
+    trace: (cell position, (count, size) pairs) for every split, which
+    depends only on the isomorphism type of the colored graph.
     """
+    n = len(order)
+    inner = ~bnd[1:]
+    ncells = n - int(np.count_nonzero(inner))
     trace = []
-    while queue:
-        smask = queue.popleft()
-        i = 0
-        while i < len(cells):
-            cell = cells[i]
-            if len(cell) > 1:
-                groups: dict[int, list[int]] = {}
-                for v in cell:
-                    groups.setdefault((rows[v] & smask).bit_count(), []).append(v)
-                if len(groups) > 1:
-                    parts = [tuple(groups[c]) for c in sorted(groups)]
-                    cells[i:i + 1] = parts
-                    trace.append((i, tuple((c, len(groups[c])) for c in sorted(groups))))
-                    queue.extend(_mask(part) for part in parts)
-                    i += len(parts) - 1
-            i += 1
-    return cells, tuple(trace)
+    # a discrete partition splits no further, so the rest of the queue is moot
+    while queue and ncells < n:
+        sv = queue.popleft()
+        counts = adj[sv] if type(sv) is int else adj[sv].sum(axis=0)
+        cp = counts[order]
+        hits = ((cp[1:] != cp[:-1]) & inner).nonzero()[0]
+        if not hits.size:
+            continue
+        starts = bnd.nonzero()[0]
+        split = np.searchsorted(starts, hits, side="right") - 1
+        starts = starts.tolist() + [n]
+        added = 0
+        for c in sorted(set(split.tolist())):
+            s, e = starts[c], starts[c + 1]
+            groups: dict[int, list[int]] = {}
+            for k, v in zip(cp[s:e].tolist(), order[s:e].tolist()):
+                groups.setdefault(k, []).append(v)
+            keys = sorted(groups)
+            trace.append((c + added, tuple((k, len(groups[k])) for k in keys)))
+            for k in keys:
+                part = groups[k]
+                order[s:s + len(part)] = part
+                bnd[s] = True
+                s += len(part)
+                queue.append(part[0] if len(part) == 1 else np.array(part))
+            added += len(keys) - 1
+        inner = ~bnd[1:]
+        ncells += added
+    return tuple(trace)
+
+
+def _cells(order, bnd):
+    """The partition as a list of vertex tuples."""
+    verts = order.tolist()
+    cuts = bnd.nonzero()[0].tolist() + [len(verts)]
+    return [tuple(verts[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 def _refine_root(g: Graph, colors: Sequence[int] | None):
-    """(cells, (color, size) signature, trace) of the refined initial coloring."""
+    """(adj, order, bnd, (color, size) signature, trace) of the refined
+    initial coloring; adj is the n x n uint8 adjacency matrix."""
     if colors is None:
         colors = [0] * g.n
     elif len(colors) != g.n:
@@ -78,128 +118,124 @@ def _refine_root(g: Graph, colors: Sequence[int] | None):
     for v in range(g.n):
         buckets.setdefault(colors[v], []).append(v)
     keys = sorted(buckets)
-    cells = [tuple(buckets[c]) for c in keys]
     init_sig = tuple((c, len(buckets[c])) for c in keys)
-    cells, trace = _refine(g.rows, cells, deque(_mask(c) for c in cells))
-    return cells, init_sig, trace
+    cells = [np.array(buckets[c], dtype=np.intp) for c in keys]
+    order = np.concatenate(cells) if cells else np.zeros(0, dtype=np.intp)
+    bnd = np.zeros(g.n, dtype=bool)
+    bnd[np.cumsum([0] + [len(c) for c in cells])[:-1]] = True
+    adj = dense_adjacency(g, np.uint8)
+    trace = _refine(adj, order, bnd, deque(cells))
+    return adj, order, bnd, init_sig, trace
 
 
 def refine_partition(g: Graph, colors: Sequence[int] | None = None):
     """Equitable refinement of the initial coloring; list of vertex tuples."""
-    return _refine_root(g, colors)[0]
+    _, order, bnd, _, _ = _refine_root(g, colors)
+    return _cells(order, bnd)
 
 
-def _individualize_refine(rows, cells, target_idx, v):
-    new_cells = list(cells)
-    rest = tuple(u for u in cells[target_idx] if u != v)
-    new_cells[target_idx:target_idx + 1] = [(v,), rest]
-    queue = deque([1 << v])
-    new_cells, trace = _refine(rows, new_cells, queue)
-    return new_cells, (target_idx,) + tuple(trace)
+def _individualize_refine(adj, order, bnd, target_idx, s, e, v):
+    """Split v off the front of cell target_idx = order[s:e] and refine."""
+    new_order = order.copy()
+    cell = order[s:e]
+    new_order[s] = v
+    new_order[s + 1:e] = cell[cell != v]
+    new_bnd = bnd.copy()
+    new_bnd[s + 1] = True
+    trace = _refine(adj, new_order, new_bnd, deque([v]))
+    return new_order, new_bnd, (target_idx,) + trace
 
 
-def _leaf_cert(rows, perm) -> bytes:
-    """Upper-triangle bits of the relabeled adjacency, row-major, packed."""
-    n = len(perm)
-    acc = 0
-    nbits = 0
-    out = bytearray()
-    for i in range(n):
-        ri = rows[perm[i]]
-        for j in range(i + 1, n):
-            acc = (acc << 1) | ((ri >> perm[j]) & 1)
-            nbits += 1
-            if nbits == 8:
-                out.append(acc)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(acc << (8 - nbits))
-    return bytes(out)
+def _leaf_cert(adj, perm, upper) -> bytes:
+    """Upper-triangle bits of the relabeled adjacency, row-major, packed.
+
+    `upper` is the n x n mask of the strict upper triangle."""
+    return np.packbits(adj[perm][:, perm][upper]).tobytes()
 
 
 _MAX_GENS = 100
 
 
 class _Search:
-    def __init__(self, rows, n, budget):
-        self.rows = rows
-        self.n = n
+    """Depth-first individualization-refinement over one graph.
+
+    With a `target` leaf certificate the search stops at the first leaf
+    that has it (best_order is that leaf); otherwise it runs to the end and
+    best_order is the canonical leaf.  Pruning is the same either way.
+    `gens` holds the automorphisms found, one per row.
+    """
+
+    def __init__(self, adj, budget, target: bytes | None = None):
+        self.adj = adj
+        self.n = n = len(adj)
+        self.upper = np.arange(n)[:, None] < np.arange(n)
         self.budget = budget
+        self.target = target
         self.nodes = 0
         self.best_traces: list = []
         self.best_cert: bytes | None = None
-        self.best_perm: tuple[int, ...] | None = None
-        self.gens: list[tuple[int, ...]] = []
+        self.best_order = None
+        self.gens = np.zeros((0, n), dtype=np.intp)
         self.path: list[int] = []
 
-    def run(self, cells):
-        self.dfs(cells, 0)
-        assert self.best_perm is not None
-        return self.best_cert, self.best_perm
+    def _orbits(self) -> list[int]:
+        """Each vertex's orbit label, the least vertex of its orbit, under
+        the generators that fix the current path."""
+        lab = np.arange(self.n)
+        gens = self.gens
+        if self.path:
+            gens = gens[(gens[:, self.path] == self.path).all(axis=1)]
+        while len(gens):
+            # the least label one generator step away, then pointer jumping
+            new = np.minimum(lab, lab[gens].min(axis=0))
+            new = new[new]
+            if (new == lab).all():
+                break
+            lab = new
+        return lab.tolist()
 
-    def target_cell(self, cells):
-        best = -1
-        size = None
-        for i, c in enumerate(cells):
-            if len(c) > 1 and (size is None or len(c) < size):
-                best, size = i, len(c)
-        return best
-
-    def _orbit_find(self):
-        """find() over orbits of the generators that fix the current path."""
-        gens = [g for g in self.gens if all(g[v] == v for v in self.path)]
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in gens:
-            for a in range(self.n):
-                b = g[a]
-                if b != a:
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[ra] = rb
-        return find
-
-    def dfs(self, cells, depth):
-        target = self.target_cell(cells)
-        if target < 0:
-            perm = tuple(c[0] for c in cells)
-            cert = _leaf_cert(self.rows, perm)
+    def dfs(self, order, bnd, depth) -> bool:
+        """Search below one node; True once a leaf matched the target."""
+        n = self.n
+        starts = bnd.nonzero()[0]
+        if len(starts) == n:
+            cert = _leaf_cert(self.adj, order, self.upper)
+            if cert == self.target:
+                self.best_cert, self.best_order = cert, order
+                return True
             if self.best_cert is None or cert < self.best_cert:
-                self.best_cert = cert
-                self.best_perm = perm
-            elif cert == self.best_cert:
-                gamma = [0] * self.n
-                for pos in range(self.n):
-                    gamma[self.best_perm[pos]] = perm[pos]
-                gamma = tuple(gamma)
-                if (len(self.gens) < _MAX_GENS and gamma not in self.gens
-                        and any(gamma[v] != v for v in range(self.n))):
-                    self.gens.append(gamma)
-            return
+                self.best_cert, self.best_order = cert, order
+            elif cert == self.best_cert and len(self.gens) < _MAX_GENS:
+                gamma = np.empty(n, dtype=np.intp)
+                gamma[self.best_order] = order
+                if ((gamma != np.arange(n)).any()
+                        and not (self.gens == gamma).all(axis=1).any()):
+                    self.gens = np.vstack([self.gens, gamma])
+            return False
+        # the first smallest non-singleton cell
+        bounds = np.append(starts, n)
+        sizes = bounds[1:] - starts
+        target = int(np.where(sizes > 1, sizes, n + 1).argmin())
+        s = int(starts[target])
+        e = s + int(sizes[target])
         explored: list[int] = []
         seen_gens = -1
-        find = None
-        for v in cells[target]:
+        for v in order[s:e].tolist():
             if explored:
                 # rebuild orbits when new automorphisms appeared mid-loop
                 if len(self.gens) != seen_gens:
-                    find = self._orbit_find()
+                    orbit = self._orbits()
                     seen_gens = len(self.gens)
-                rv = find(v)
-                if any(find(w) == rv for w in explored):
+                    done = {orbit[w] for w in explored}
+                if orbit[v] in done:
                     continue
+                done.add(orbit[v])
             explored.append(v)
             self.nodes += 1
             if self.nodes > self.budget:
                 raise BudgetExhaustedError(self.budget)
-            child, tr = _individualize_refine(self.rows, cells, target, v)
+            child, child_bnd, tr = _individualize_refine(self.adj, order, bnd,
+                                                         target, s, e, v)
             d = depth + 1
             if len(self.best_traces) >= d:
                 known = self.best_traces[d - 1]
@@ -209,19 +245,28 @@ class _Search:
                     del self.best_traces[d - 1:]
                     self.best_traces.append(tr)
                     self.best_cert = None
-                    self.best_perm = None
+                    self.best_order = None
             else:
                 self.best_traces.append(tr)
             self.path.append(v)
-            self.dfs(child, d)
+            found = self.dfs(child, child_bnd, d)
             self.path.pop()
+            if found:
+                return True
+        return False
+
+
+def _header(g: Graph, init_sig, root_trace) -> bytes:
+    # the root refinement trace is shared by every leaf; keep it out of the
+    # per-depth comparisons but fold it into the certificate prefix
+    return repr((g.n, init_sig, root_trace)).encode() + b"|"
 
 
 def _run_search(g: Graph, budget: int, colors):
-    cells, init_sig, root_trace = _refine_root(g, colors)
-    search = _Search(g.rows, g.n, budget)
-    search.run(cells)
-    return search, init_sig, root_trace
+    adj, order, bnd, init_sig, root_trace = _refine_root(g, colors)
+    search = _Search(adj, budget)
+    search.dfs(order, bnd, 0)
+    return search, _header(g, init_sig, root_trace)
 
 
 def canonical_labeling(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
@@ -234,11 +279,33 @@ def canonical_labeling(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
     """
     if g.n == 0:
         return b"", ()
-    search, init_sig, root_trace = _run_search(g, budget, colors)
-    # the root refinement trace is shared by every leaf; keep it out of the
-    # per-depth comparisons but fold it into the certificate prefix
-    header = repr((g.n, init_sig, root_trace)).encode()
-    return header + b"|" + search.best_cert, search.best_perm
+    search, header = _run_search(g, budget, colors)
+    return header + search.best_cert, tuple(search.best_order.tolist())
+
+
+def match_certificate(g: Graph, cert: bytes, budget: int = DEFAULT_NODE_BUDGET,
+                      colors: Sequence[int] | None = None):
+    """A labeling of g whose certificate equals cert, or None if g has none.
+
+    cert is another graph's canonical_labeling certificate.  A root header
+    (n, color signature, root trace) unlike cert's settles None with no
+    search.  Otherwise g is searched with canonical_labeling's pruning and
+    the search stops at the first leaf whose certificate equals cert's; the
+    permutation lists vertices in position order, as canonical_labeling's
+    does, so position by position it maps the other graph onto g.  None
+    after a full search means the certificates differ.  Raises
+    BudgetExhaustedError past the node budget.
+    """
+    if g.n == 0:
+        return () if cert == b"" else None
+    adj, order, bnd, init_sig, root_trace = _refine_root(g, colors)
+    header = _header(g, init_sig, root_trace)
+    if not cert.startswith(header):
+        return None
+    search = _Search(adj, budget, cert[len(header):])
+    if not search.dfs(order, bnd, 0):
+        return None
+    return tuple(search.best_order.tolist())
 
 
 def automorphism_generators(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
@@ -251,8 +318,8 @@ def automorphism_generators(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
     """
     if g.n == 0:
         return []
-    search, _, _ = _run_search(g, budget, colors)
-    return list(search.gens)
+    search, _ = _run_search(g, budget, colors)
+    return [tuple(gamma) for gamma in search.gens.tolist()]
 
 
 def canonical_form(g: Graph, budget: int = DEFAULT_NODE_BUDGET,

@@ -13,7 +13,6 @@ lambda(a; b, c) = 1.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .canon import (
     BudgetExhaustedError,
     DEFAULT_NODE_BUDGET,
     canonical_labeling,
+    match_certificate,
     wl1_histogram,
 )
 from .graphcore import Graph
@@ -90,25 +90,33 @@ def vertex_lambda_colors(g: Graph) -> list[int]:
 
     Used to seed canonical labeling and give it a head start on graphs whose
     vertices differ in second-order structure; any label-invariant coloring
-    is sound here.
+    is sound here.  Colors are the ranks of the sorted (degree, edge lambda
+    histogram, non-edge lambda histogram) signatures.  A block of rows of
+    A A at a time gives each vertex its sorted row of keys, lambda on edges
+    and n + 1 + lambda on non-edges; equal rows mean equal signatures, so
+    one signature is built per distinct row.
     """
-    rows = g.rows
-    sigs = []
-    for v in range(g.n):
-        rv = rows[v]
-        ec = Counter()
-        nc = Counter()
-        for u in range(g.n):
-            if u == v:
-                continue
-            lam = (rv & rows[u]).bit_count()
-            if (rv >> u) & 1:
-                ec[lam] += 1
-            else:
-                nc[lam] += 1
-        sigs.append((rv.bit_count(), tuple(sorted(ec.items())), tuple(sorted(nc.items()))))
-    order = {s: i for i, s in enumerate(sorted(set(sigs)))}
-    return [order[s] for s in sigs]
+    n = g.n
+    a = dense_adjacency(g, np.float32)
+    sig: dict[bytes, tuple] = {}  # distinct key row -> its signature
+    keys = []
+    for r0 in range(0, n, _LAMBDA_ROWS):
+        r1 = min(r0 + _LAMBDA_ROWS, n)
+        lam = (a[r0:r1] @ a).astype(np.int32)  # exact, as in lambda_profile
+        lam[a[r0:r1] == 0] += n + 1
+        lam[np.arange(r1 - r0), np.arange(r0, r1)] = -1  # v itself sorts first
+        lam.sort(axis=1)
+        for row in lam:
+            key = row.tobytes()
+            if key not in sig:
+                vals, counts = np.unique(row[1:], return_counts=True)
+                items = list(zip(vals.tolist(), counts.tolist()))
+                edge = tuple((k, c) for k, c in items if k <= n)
+                nonedge = tuple((k - n - 1, c) for k, c in items if k > n)
+                sig[key] = (sum(c for _, c in edge), edge, nonedge)
+            keys.append(key)
+    rank = {s: i for i, s in enumerate(sorted(sig.values()))}
+    return [rank[sig[k]] for k in keys]
 
 
 def canonical_form(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> bytes:
@@ -255,10 +263,11 @@ def nonisomorphic(g1: Graph, g2: Graph,
         colors1 = vertex_lambda_colors(g1)
         colors2 = vertex_lambda_colors(g2)
         cert1, perm1 = canonical_labeling(g1, budget, colors1)
-        cert2, perm2 = canonical_labeling(g2, budget, colors2)
+        # search g2 only for a leaf with g1's certificate
+        perm2 = match_certificate(g2, cert1, budget, colors2)
     except BudgetExhaustedError:
         return NonIsoVerdict(False, "canonical-form", None, node_budget_exhausted=True)
-    if cert1 != cert2:
+    if perm2 is None:
         return NonIsoVerdict(True, "canonical-form",
                              "canonical certificates differ")
     # certificates agree: read off the isomorphism position by position

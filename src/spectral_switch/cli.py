@@ -286,15 +286,14 @@ def cmd_spectrum(args) -> int:
         "kind": "spectrum",
         "seed": args.seed,
         "num_primes": args.primes,
-        "signature": signature(g, primes, args.threads).to_json_dict(),
+        "signature": signature(g, primes).to_json_dict(),
     }
     if args.eigenvalues:
         out["eigenvalues_float"] = eigenvalues_float(g)
     if args.compare:
         other = _load_graph(args.compare, cap)
         out["cospectral"] = cospectral(g, other, num_primes=args.primes,
-                                       seed=args.seed,
-                                       threads=args.threads).to_json_dict()
+                                       seed=args.seed).to_json_dict()
     _emit_report(out, args.report)
     return EXIT_OK
 
@@ -373,12 +372,6 @@ def build_parser() -> _Parser:
     p.add_argument("--eigenvalues", action="store_true",
                    help="include floating-point eigenvalues")
     p.add_argument("--report", help="write the JSON report here as well")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for per-prime charpoly runs; a gain only "
-                        "with BLAS pinned to one thread (OPENBLAS_NUM_THREADS=1): "
-                        "on a 2-core host, 2 primes of the 1395-vertex K_2(6,3) "
-                        "pair took a median 3.7 s with 1, 5.4 s with 2 threads, "
-                        "and 2.8 s with 2 threads and one BLAS thread")
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)
     return parser

@@ -284,23 +284,18 @@ def decode_graph6(data: bytes | str) -> Graph:
         raise Graph6ParseError(
             f"expected {need} payload bytes for n={n}, got {len(data) - pos}", pos
         )
-    rows = [0] * n
-    bit = 0
-    j = 1
-    i = 0
-    for off in range(pos, len(data)):
-        v = sixbits(off)
-        for s in range(5, -1, -1):
-            if bit == nbits:
-                if (v >> s) & 1:
-                    raise Graph6ParseError("nonzero padding bits", off)
-                continue
-            if (v >> s) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            bit += 1
-            i += 1
-            if i == j:
-                j += 1
-                i = 0
+    payload = np.frombuffer(data, dtype=np.uint8)[pos:]
+    bad = ((payload < 63) | (payload > 126)).nonzero()[0]
+    if bad.size:
+        sixbits(pos + int(bad[0]))  # raises with the offending byte
+    bits = np.unpackbits((payload - 63)[:, None], axis=1)[:, 2:].ravel()
+    if bits[nbits:].any():
+        raise Graph6ParseError("nonzero padding bits", len(data) - 1)
+    # bit x(i, j) of column j lands at low[j, i]: row-major order of the
+    # strict lower triangle is the graph6 order of the upper one
+    low = np.zeros((n, n), dtype=bool)
+    low[np.arange(n)[:, None] > np.arange(n)] = bits[:nbits]
+    packed = np.packbits(low | low.T, axis=1, bitorder="little")
+    buf, w = packed.tobytes(), packed.shape[1]
+    rows = [int.from_bytes(buf[v * w:(v + 1) * w], "little") for v in range(n)]
     return Graph(n, rows, validate=False)

@@ -34,8 +34,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -343,14 +341,10 @@ class CharPolySignature:
         }
 
 
-def signature(g: Graph, primes, threads: int = 1) -> CharPolySignature:
+def signature(g: Graph, primes) -> CharPolySignature:
     """Charpoly signature of g at the given primes."""
     primes = tuple(primes)
-    if threads > 1 and len(primes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            coeffs = tuple(ex.map(lambda p: charpoly_mod_p(g, p), primes))
-    else:
-        coeffs = tuple(charpoly_mod_p(g, p) for p in primes)
+    coeffs = tuple(charpoly_mod_p(g, p) for p in primes)
     return CharPolySignature(g.n, primes, coeffs)
 
 
@@ -404,7 +398,7 @@ def _equal_error_bound(n: int, num_primes: int) -> float:
 
 
 def cospectral(g1: Graph, g2: Graph, num_primes: int = 3, seed: int = 0,
-               threads: int = 1, spec=None) -> CospectralVerdict:
+               spec=None) -> CospectralVerdict:
     """Decide whether g1 and g2 are cospectral.
 
     With a switching spec whose matrix Q satisfies Q^T A1 Q = A2
@@ -413,8 +407,8 @@ def cospectral(g1: Graph, g2: Graph, num_primes: int = 3, seed: int = 0,
     one-sided Monte Carlo charpoly test runs (method "charpoly"): "not
     equal" is certain and "equal" holds up to the reported error bound.
     Primes are tried one at a time and the test stops at the first that
-    separates the graphs; with threads > 1 the two graphs of a prime run in
-    parallel.  Graphs on different vertex counts are never cospectral.
+    separates the graphs.  Graphs on different vertex counts are never
+    cospectral.
     """
     if num_primes < 1:
         raise ValueError("need at least one prime")
@@ -423,15 +417,11 @@ def cospectral(g1: Graph, g2: Graph, num_primes: int = 3, seed: int = 0,
     if g1.n != g2.n:
         return CospectralVerdict(False, (), None, None)
     primes = random_primes(num_primes, seed)
-    with ThreadPoolExecutor(max_workers=2) if threads > 1 else nullcontext() as ex:
-        for k, p in enumerate(primes):
-            if ex is None:
-                c1, c2 = charpoly_mod_p(g1, p), charpoly_mod_p(g2, p)
-            else:
-                c1, c2 = ex.map(charpoly_mod_p, (g1, g2), (p, p))
-            if c1 != c2:
-                idx = next(i for i, (a, b) in enumerate(zip(c1, c2)) if a != b)
-                return CospectralVerdict(False, primes[:k + 1], (p, idx), None)
+    for k, p in enumerate(primes):
+        c1, c2 = charpoly_mod_p(g1, p), charpoly_mod_p(g2, p)
+        if c1 != c2:
+            idx = next(i for i, (a, b) in enumerate(zip(c1, c2)) if a != b)
+            return CospectralVerdict(False, primes[:k + 1], (p, idx), None)
     return CospectralVerdict(True, primes, None, _equal_error_bound(g1.n, num_primes))
 
 

@@ -166,3 +166,77 @@ def f2_rank(rows) -> int:
                 break
             x ^= b
     return len(basis)
+
+
+def refine_reference(rows, cells, queue):
+    """Equitable refinement of a list of vertex tuples against a deque of
+    splitter bitmasks, cell by cell with dict grouping: the refinement
+    canon used before it moved to arrays.  Returns (cells, trace) with the
+    trace entries (cell position, (count, size) pairs)."""
+    trace = []
+    while queue:
+        smask = queue.popleft()
+        i = 0
+        while i < len(cells):
+            cell = cells[i]
+            if len(cell) > 1:
+                groups = {}
+                for v in cell:
+                    groups.setdefault((rows[v] & smask).bit_count(), []).append(v)
+                if len(groups) > 1:
+                    parts = [tuple(groups[c]) for c in sorted(groups)]
+                    cells[i:i + 1] = parts
+                    trace.append((i, tuple((c, len(groups[c])) for c in sorted(groups))))
+                    for part in parts:
+                        mask = 0
+                        for v in part:
+                            mask |= 1 << v
+                        queue.append(mask)
+                    i += len(parts) - 1
+            i += 1
+    return cells, tuple(trace)
+
+
+def leaf_cert_reference(rows, perm) -> bytes:
+    """Upper-triangle bits of the relabeled adjacency, row-major, packed
+    big-endian into bytes with zero padding, one bit at a time."""
+    n = len(perm)
+    acc = 0
+    nbits = 0
+    out = bytearray()
+    for i in range(n):
+        ri = rows[perm[i]]
+        for j in range(i + 1, n):
+            acc = (acc << 1) | ((ri >> perm[j]) & 1)
+            nbits += 1
+            if nbits == 8:
+                out.append(acc)
+                acc = 0
+                nbits = 0
+    if nbits:
+        out.append(acc << (8 - nbits))
+    return bytes(out)
+
+
+def vertex_lambda_colors_reference(g) -> list:
+    """Ranks of the sorted (degree, edge lambda histogram, non-edge lambda
+    histogram) signatures, from pairwise popcounts of the bit rows."""
+    from collections import Counter
+
+    rows = g.rows
+    sigs = []
+    for v in range(g.n):
+        rv = rows[v]
+        ec = Counter()
+        nc = Counter()
+        for u in range(g.n):
+            if u == v:
+                continue
+            lam = (rv & rows[u]).bit_count()
+            if (rv >> u) & 1:
+                ec[lam] += 1
+            else:
+                nc[lam] += 1
+        sigs.append((rv.bit_count(), tuple(sorted(ec.items())), tuple(sorted(nc.items()))))
+    order = {s: i for i, s in enumerate(sorted(set(sigs)))}
+    return [order[s] for s in sigs]

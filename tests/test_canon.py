@@ -1,19 +1,25 @@
 import random
+from collections import deque
 from itertools import combinations
 
 import networkx as nx
+import numpy as np
 import pytest
 
+from spectral_switch import canon
 from spectral_switch.canon import (
     BudgetExhaustedError,
     automorphism_generators,
     canonical_form,
     canonical_labeling,
+    match_certificate,
     refine_partition,
     wl1_colors,
     wl1_histogram,
 )
-from spectral_switch.graphcore import Graph
+from spectral_switch.graphcore import Graph, _mask
+
+from oracles import leaf_cert_reference, refine_reference
 
 
 def _random_relabel(g, rng):
@@ -116,3 +122,96 @@ def test_wl1_round_control():
     assert r0 == 0 and len(set(c0)) == 1
     c2, r2 = wl1_colors(g, rounds=2)
     assert r2 == 2
+
+
+# -- the array refinement against the cell-by-cell reference ----------------
+
+KERNEL_SIZES = (5, 12, 35, 64, 70, 129, 200, 252, 330, 400)
+
+
+def _kernel_graph(n, seed):
+    """Seeded graphs whose refinement does work: G(n, p) or random regular
+    (one root cell until a vertex is individualized), half of them colored."""
+    rng = random.Random(seed)
+    if seed % 2:
+        d = rng.choice([3, 4, 6]) if n > 6 else 2
+        ng = nx.random_regular_graph(d if n * d % 2 == 0 else d + 1, n, seed=seed)
+    else:
+        ng = nx.gnp_random_graph(n, rng.uniform(0.05, 0.6), seed=seed)
+    g = Graph.from_edges(n, list(ng.edges()))
+    colors = [rng.randrange(3) for _ in range(n)] if seed % 4 >= 2 else None
+    return g, colors, rng
+
+
+def _root_cells(g, colors):
+    colors = colors or [0] * g.n
+    return [tuple(v for v in range(g.n) if colors[v] == c) for c in sorted(set(colors))]
+
+
+@pytest.mark.parametrize("seed", range(len(KERNEL_SIZES) * 2))
+def test_refinement_matches_reference(seed):
+    """Root refinement, then individualization steps down to a discrete
+    partition: the same cells in the same order and the same trace."""
+    n = KERNEL_SIZES[seed % len(KERNEL_SIZES)]
+    g, colors, rng = _kernel_graph(n, seed)
+    adj, order, bnd, _, trace = canon._refine_root(g, colors)
+    cells = _root_cells(g, colors)
+    cells, want = refine_reference(g.rows, cells, deque(_mask(c) for c in cells))
+    assert canon._cells(order, bnd) == cells
+    assert trace == want
+    for _ in range(8):
+        big = [i for i, c in enumerate(cells) if len(c) > 1]
+        if not big:
+            break
+        t = min(big, key=lambda i: (len(cells[i]), i))
+        v = rng.choice(cells[t])
+        s = sum(len(c) for c in cells[:t])
+        order, bnd, trace = canon._individualize_refine(adj, order, bnd, t, s,
+                                                        s + len(cells[t]), v)
+        cells[t:t + 1] = [(v,), tuple(u for u in cells[t] if u != v)]
+        cells, want = refine_reference(g.rows, cells, deque([1 << v]))
+        assert canon._cells(order, bnd) == cells
+        assert trace == (t,) + want
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 9, 35, 70, 129, 330))
+def test_leaf_certificate_matches_reference(n):
+    g, _, rng = _kernel_graph(n, 2 * n)
+    adj = canon._refine_root(g, None)[0]
+    upper = np.arange(n)[:, None] < np.arange(n)
+    for _ in range(3):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert canon._leaf_cert(adj, np.array(perm), upper) == \
+            leaf_cert_reference(g.rows, perm)
+
+
+def test_match_certificate_maps_onto_a_relabeling():
+    g = Graph.from_edges(14, list(nx.random_regular_graph(3, 14, seed=6).edges()))
+    h = _random_relabel(g, random.Random(2))
+    cert, perm = canonical_labeling(g)
+    match = match_certificate(h, cert)
+    iso = [0] * g.n
+    for pos in range(g.n):
+        iso[perm[pos]] = match[pos]
+    assert g.relabel(iso) == h
+    assert match_certificate(Graph.from_edges(0, []), b"") == ()
+
+
+def test_match_certificate_rejects_a_header_without_search():
+    """A root trace unlike the certificate's settles None before any node:
+    with a budget of 0 the first search node would raise."""
+    c6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+    p6 = Graph.from_edges(6, [(i, i + 1) for i in range(5)])
+    cert, _ = canonical_labeling(c6)
+    assert match_certificate(p6, cert, budget=0) is None
+    assert match_certificate(c6, cert, colors=[1, 0, 0, 0, 0, 0], budget=0) is None
+    with pytest.raises(BudgetExhaustedError):
+        match_certificate(c6, cert, budget=0)
+
+
+def test_match_certificate_none_after_full_search():
+    c6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+    two_c3 = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    cert, _ = canonical_labeling(c6)
+    assert match_certificate(two_c3, cert) is None

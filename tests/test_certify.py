@@ -1,9 +1,11 @@
 """Tests for the invariant ladder, lambda profiles, and triple scans."""
 
+import hashlib
 import random
 
 import pytest
 
+from spectral_switch import certify
 from spectral_switch.certify import (
     LADDER_LEVELS,
     NonIsoVerdict,
@@ -17,7 +19,7 @@ from spectral_switch.certify import (
 )
 from spectral_switch.graphcore import Graph
 
-from oracles import selective_count_brute
+from oracles import selective_count_brute, vertex_lambda_colors_reference
 
 
 def cycle(n):
@@ -226,3 +228,69 @@ def test_canonical_form_separates_and_identifies(petersen):
     assert canonical_form(c6) != canonical_form(cc)
     g2 = petersen.relabel([3, 1, 4, 0, 5, 9, 2, 6, 8, 7])
     assert canonical_form(petersen) == canonical_form(g2)
+
+
+def test_vertex_lambda_colors_match_reference():
+    # sizes on both sides of one block of rows of the A A product
+    for seed, n in enumerate((0, 1, 2, 9, 40, 257, 300)):
+        g = random_graph(n, 0.1 + 0.1 * (seed % 5), seed)
+        assert vertex_lambda_colors(g) == vertex_lambda_colors_reference(g), n
+
+
+# sha256 of certify.canonical_form for every corpus original and mate with
+# n <= 500, as computed before the refinement moved to arrays.  The search
+# workload's K_2(4,2) and J_2(8,4) are the originals of qkneser(4,2) and
+# j2n4(8), so their rows cover those two as well.
+GOLDEN_FORMS = {
+    ("j2n4(n=8)", "original"): "b938de129ea6fdd6aaa1aacaf1349bb60f7b88bb8a948f689633956c29d7ac2b",
+    ("j2n4(n=8)", "mate"): "85c4584e80e93c3a3cc4ec336ba1825a1c455be123e55fc66732aa2986dd0768",
+    ("halfrange(k=5)", "original"): "f4c8dcf0e7f382e43c4adf99cedb064d19f6c4123e758a703bc85bfbb81fa86e",
+    ("halfrange(k=5)", "mate"): "c558faf4e3de8b1386fb0559c38f1d4554d555591643f1b73e8fc5995c705b46",
+    ("qkneser(n=4,k=2)", "original"): "bb8c3d5d06c9bc69fc5d25e6896524e083dde8724d10777b8c1818da75199b7f",
+    ("qkneser(n=4,k=2)", "mate"): "84e0db0c2373ea997b5e8aee90607889791f26333f69acb3669ecf919449cfe8",
+    ("sporadic(J1-11-4)", "original"): "b0b2c51378fa16e3fb19d52b61a79f10979f4ee79935079891cb5d270bc8757c",
+    ("sporadic(J1-11-4)", "mate"): "61f155f9641319b29678baa3d528aee1a96a8583500170e620f4e3bbe7d72c5b",
+    ("sporadic(J24-10-5)", "original"): "d494e05e08f879089d8e2d7e1e85b1aae67bfef78dde7a5bc51c978fcfa17a17",
+    ("sporadic(J24-10-5)", "mate"): "3e991c50d08a8376b396e2f4d32c1d8776ec17638cd9ea128e496ba0b478621d",
+}
+
+
+def test_canonical_forms_golden(corpus_reports, k242, j284):
+    got = {}
+    for rep in corpus_reports.values():
+        if rep.graph.n <= 500:
+            for tag, g in (("original", rep.graph), ("mate", rep.mate)):
+                got[rep.recipe.name, tag] = hashlib.sha256(canonical_form(g)).hexdigest()
+    assert got == GOLDEN_FORMS
+    assert k242.rows == corpus_reports["qkneser(n=4,k=2)"].graph.rows
+    assert j284.rows == corpus_reports["j2n4(n=8)"].graph.rows
+
+
+def test_isomorphic_pair_labels_graph_one_only(corpus_reports, monkeypatch):
+    """Graph 2 is searched for graph 1's certificate, not labeled itself."""
+    calls = []
+    real = certify.canonical_labeling
+
+    def counted(g, *args):
+        calls.append(g)
+        return real(g, *args)
+
+    monkeypatch.setattr(certify, "canonical_labeling", counted)
+    mate = corpus_reports["qkneser(n=4,k=2)"].mate
+    perm = list(range(mate.n))
+    random.Random(3).shuffle(perm)
+    v = nonisomorphic(mate, mate.relabel(perm))
+    assert not v.distinguished and v.level == "canonical-form"
+    assert mate.relabel(v.isomorphism).rows == mate.relabel(perm).rows
+    assert calls == [mate]
+
+
+def test_budget_exhaustion_in_graph_two(corpus_reports):
+    """The qkneser(4,2) mate labels in 68 nodes; searching the original for
+    its certificate needs 285, so a budget of 100 runs out in graph 2."""
+    rep = corpus_reports["qkneser(n=4,k=2)"]
+    g1, g2 = rep.mate, rep.graph
+    certify.canonical_labeling(g1, 100, vertex_lambda_colors(g1))
+    v = nonisomorphic(g1, g2, budget=100)
+    assert v == NonIsoVerdict(False, "canonical-form", None, node_budget_exhausted=True)
+    assert nonisomorphic(g1, g2).witness == "canonical certificates differ"

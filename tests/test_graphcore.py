@@ -142,6 +142,27 @@ def test_graph6_decode_errors():
         decode_graph6(bytes([63 + 2, 63 + 1]))
 
 
+def test_graph6_decode_error_messages_and_offsets():
+    def error(data):
+        with pytest.raises(Graph6ParseError) as ei:
+            decode_graph6(data)
+        return str(ei.value), ei.value.offset
+
+    # n = 5: 10 bits in 2 payload bytes, the last with 2 padding bits
+    assert error(b"D_\x20") == ("byte 32 outside graph6 range 63..126 (at byte 2)", 2)
+    assert error(b"D\x7f?") == ("byte 127 outside graph6 range 63..126 (at byte 1)", 1)
+    assert error(b"D?@") == ("nonzero padding bits (at byte 2)", 2)
+    assert error(b"D?") == ("expected 2 payload bytes for n=5, got 1 (at byte 1)", 1)
+    assert error(b"~??") == ("truncated 4-byte size header (at byte 3)", 3)
+    assert error(b"~~???") == ("truncated 8-byte size header (at byte 5)", 5)
+    # a bad byte before the last is reported ahead of bad padding after it
+    bad = bytearray(encode_graph6(Graph.from_edges(41, [(0, 40)])))  # 820 bits
+    bad[-1] += 1
+    assert error(bytes(bad)) == ("nonzero padding bits (at byte 137)", 137)
+    bad[7] = 10
+    assert error(bytes(bad)) == ("byte 10 outside graph6 range 63..126 (at byte 7)", 7)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 24).flatmap(
     lambda n: st.tuples(st.just(n),

@@ -12,7 +12,6 @@ from spectral_switch.spectra import (
     eigenvalues_float,
     is_probable_prime,
     random_primes,
-    signature,
 )
 
 from oracles import charpoly_exact, det_mod_p, triangle_count_brute
@@ -86,14 +85,6 @@ def test_miller_rabin_known_values():
         assert is_probable_prime(p)
     for c in (1, 0, 561, 41041, 3215031751, 2_147_483_645):
         assert not is_probable_prime(c)
-
-
-def test_signature_threads_agree(petersen):
-    primes = random_primes(3, seed=0)
-    s1 = signature(petersen, primes, threads=1)
-    s2 = signature(petersen, primes, threads=3)
-    assert s1.coeffs == s2.coeffs
-    assert s1.coeff_hashes() == s2.coeff_hashes()
 
 
 def test_cospectral_saltire_pair():
@@ -201,13 +192,11 @@ def test_cospectral_stops_at_first_disagreeing_prime(monkeypatch):
     a = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     b = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     primes = random_primes(3, seed=0)
-    for threads in (1, 2):
-        calls.clear()
-        v = cospectral(a, b, num_primes=3, seed=0, threads=threads)
-        assert not v.equal
-        assert calls == [primes[0], primes[0]]
-        assert v.primes_used == primes[:1]
-        assert v.first_disagreeing_coefficient[0] == primes[0]
+    v = cospectral(a, b, num_primes=3, seed=0)
+    assert not v.equal
+    assert calls == [primes[0], primes[0]]
+    assert v.primes_used == primes[:1]
+    assert v.first_disagreeing_coefficient[0] == primes[0]
 
 
 def test_cospectral_reports_primes_through_the_disagreeing_one(monkeypatch):
