@@ -19,18 +19,20 @@ McKay and Piperno, "Practical graph isomorphism, II" (J. Symbolic Comput.
 
 The search counts individualization nodes against a budget and raises
 BudgetExhaustedError instead of ever returning a wrong answer.
+
+The same root refinement, from the uniform coloring, is the stable 1-WL
+coloring: wl1_histogram reads its trace and quotient matrix as an exact
+certificate of color-refinement equivalence, with no search.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from typing import Sequence
 
 import numpy as np
 
-from .graphcore import Graph, encode_graph6
-from .spectra import dense_adjacency
+from .graphcore import Graph, dense_adjacency, encode_graph6
 
 __all__ = [
     "BudgetExhaustedError",
@@ -39,8 +41,6 @@ __all__ = [
     "canonical_labeling",
     "canonical_form",
     "match_certificate",
-    "refine_partition",
-    "wl1_colors",
     "wl1_histogram",
 ]
 
@@ -126,12 +126,6 @@ def _refine_root(g: Graph, colors: Sequence[int] | None):
     adj = dense_adjacency(g, np.uint8)
     trace = _refine(adj, order, bnd, deque(cells))
     return adj, order, bnd, init_sig, trace
-
-
-def refine_partition(g: Graph, colors: Sequence[int] | None = None):
-    """Equitable refinement of the initial coloring; list of vertex tuples."""
-    _, order, bnd, _, _ = _refine_root(g, colors)
-    return _cells(order, bnd)
 
 
 def _individualize_refine(adj, order, bnd, target_idx, s, e, v):
@@ -333,44 +327,24 @@ def canonical_form(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
     return encode_graph6(g.relabel(inv))
 
 
-# -- 1-WL stable coloring --------------------------------------------------
+# -- 1-WL certificate -------------------------------------------------------
 
-def wl1_colors(g: Graph, rounds: int | None = None, colors: Sequence[int] | None = None):
-    """Color-refinement colors after stabilization (or exactly `rounds`).
+def wl1_histogram(g: Graph):
+    """Label-invariant certificate of the stable 1-WL coloring: (n, root
+    refinement trace, quotient matrix as a tuple of rows).
 
-    Colors are 64-bit digests of (previous color, sorted neighbor colors),
-    so color values are comparable across graphs round by round.
+    The root refinement of the uniform coloring is the coarsest equitable
+    partition, its cells in an isomorphism-invariant order; quotient entry
+    (i, j) is how many neighbours one vertex of cell i has in cell j.  Two
+    graphs get equal certificates exactly when color refinement cannot tell
+    them apart: both are equivalent to equal cell sizes and quotients
+    (Ramana, Scheinerman and Ullman, "Fractional isomorphism of graphs",
+    Discrete Math. 132, 1994).
     """
-    n = g.n
-    cur = list(colors) if colors is not None else [0] * n
-    done_rounds = 0
-
-    def partition_of(cs):
-        classes: dict[int, list[int]] = {}
-        for v, c in enumerate(cs):
-            classes.setdefault(c, []).append(v)
-        return sorted(tuple(vs) for vs in classes.values())
-
-    while True:
-        if rounds is not None and done_rounds >= rounds:
-            return cur, done_rounds
-        nxt = []
-        for v in range(n):
-            nbr = sorted(cur[u] for u in g.neighbors(v))
-            digest = hashlib.blake2b(
-                repr((cur[v], nbr)).encode(), digest_size=8
-            ).digest()
-            nxt.append(int.from_bytes(digest, "big"))
-        if rounds is None and partition_of(nxt) == partition_of(cur):
-            return cur, done_rounds
-        cur = nxt
-        done_rounds += 1
-
-
-def wl1_histogram(g: Graph, rounds: int | None = None):
-    """(rounds, sorted (color, count) pairs) at the stable coloring."""
-    cs, r = wl1_colors(g, rounds)
-    hist: dict[int, int] = {}
-    for c in cs:
-        hist[c] = hist.get(c, 0) + 1
-    return r, tuple(sorted(hist.items()))
+    adj, order, bnd, _, trace = _refine_root(g, None)
+    if g.n == 0:
+        return 0, trace, ()
+    starts = bnd.nonzero()[0]
+    quotient = np.add.reduceat(adj[order[starts]][:, order], starts, axis=1,
+                               dtype=np.int64)
+    return g.n, trace, tuple(map(tuple, quotient.tolist()))

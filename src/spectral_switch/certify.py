@@ -1,10 +1,12 @@
 """Non-isomorphism certification via an invariant ladder.
 
 Cheapest first: sorted degree sequence, common-neighbor count multiset over
-edges, the same over non-edges, 1-WL stable color histogram, and finally
-individualization-refinement canonical forms.  The verdict names the level
-that distinguished, or carries an explicit isomorphism when canonical forms
-match, or reports unknown when the canonical search exhausts its budget.
+edges, the same over non-edges, the stable 1-WL partition (canon's root
+refinement trace and quotient matrix, equal exactly when color refinement
+cannot tell the graphs apart), and finally individualization-refinement
+canonical forms.  The verdict names the level that distinguished, or
+carries an explicit isomorphism when canonical forms match, or reports
+unknown when the canonical search exhausts its budget.
 
 Also provides the selective neighbor count lambda(a; b, c) = #{x ~ a, x !~ b,
 x !~ c} and an exhaustive scan for pairwise non-adjacent triples realizing
@@ -14,6 +16,7 @@ lambda(a; b, c) = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -24,8 +27,7 @@ from .canon import (
     match_certificate,
     wl1_histogram,
 )
-from .graphcore import Graph
-from .spectra import dense_adjacency
+from .graphcore import Graph, dense_adjacency
 
 __all__ = [
     "LambdaProfile",
@@ -228,6 +230,21 @@ def _counter_witness(c1, c2, what: str) -> str:
     raise AssertionError("counters compared equal")
 
 
+def _wl1_witness(w1, w2) -> str:
+    """The first difference of two wl1_histogram certificates of graphs
+    with one vertex count: a refinement step, else a quotient entry."""
+    (_, t1, q1), (_, t2, q2) = w1, w2
+    for i, (a, b) in enumerate(zip_longest(t1, t2)):
+        if a != b:
+            return f"1-WL refinement traces differ at step {i}: {a} vs {b}"
+    # equal traces give equal cell sizes, so the quotients have one shape
+    i, j = next((i, j) for i, (r1, r2) in enumerate(zip(q1, q2))
+                for j, (a, b) in enumerate(zip(r1, r2)) if a != b)
+    return (f"1-WL quotient entry ({i}, {j}) differs: a vertex of cell {i} "
+            f"has {q1[i][j]} neighbours in cell {j} in graph 1 "
+            f"but {q2[i][j]} in graph 2")
+
+
 def nonisomorphic(g1: Graph, g2: Graph,
                   budget: int = DEFAULT_NODE_BUDGET) -> NonIsoVerdict:
     """Run the invariant ladder; see module docstring for the levels."""
@@ -249,16 +266,9 @@ def nonisomorphic(g1: Graph, g2: Graph,
         return NonIsoVerdict(True, "nonedge-lambda",
                              _counter_witness(p1.nonedge, p2.nonedge,
                                               "non-edge common-neighbor count"))
-    r1, h1 = wl1_histogram(g1)
-    r2, h2 = wl1_histogram(g2)
-    if r1 != r2:
-        # compare colors after the same number of rounds
-        rounds = max(r1, r2)
-        _, h1 = wl1_histogram(g1, rounds)
-        _, h2 = wl1_histogram(g2, rounds)
-    if h1 != h2:
-        return NonIsoVerdict(True, "wl1-histogram",
-                             _counter_witness(h1, h2, "stable 1-WL color"))
+    w1, w2 = wl1_histogram(g1), wl1_histogram(g2)
+    if w1 != w2:
+        return NonIsoVerdict(True, "wl1-histogram", _wl1_witness(w1, w2))
     try:
         colors1 = vertex_lambda_colors(g1)
         colors2 = vertex_lambda_colors(g2)

@@ -14,6 +14,7 @@ import numpy as np
 
 __all__ = [
     "Graph",
+    "dense_adjacency",
     "encode_graph6",
     "decode_graph6",
     "Graph6ParseError",
@@ -34,6 +35,19 @@ def _packed_rows(g: "Graph") -> np.ndarray:
     nbytes = (g.n + 7) // 8
     buf = b"".join(row.to_bytes(nbytes, "little") for row in g.rows)
     return np.frombuffer(buf, dtype=np.uint8).reshape(g.n, nbytes)
+
+
+def dense_adjacency(g: "Graph", dtype=np.float64) -> np.ndarray:
+    """The n x n 0/1 adjacency matrix of g, unpacked from its bit rows."""
+    bits = np.unpackbits(_packed_rows(g), axis=1, bitorder="little", count=g.n)
+    return bits.astype(dtype)
+
+
+def _bit_rows(bits: np.ndarray) -> list[int]:
+    """Row v of a bool matrix as an int with bit u set iff bits[v, u]."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    buf, w = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(buf[v * w:(v + 1) * w], "little") for v in range(len(bits))]
 
 
 class Graph:
@@ -144,14 +158,10 @@ class Graph:
         perm = tuple(perm)
         if sorted(perm) != list(range(n)):
             raise ValueError("perm is not a permutation of 0..n-1")
-        rows = [0] * n
-        for v, row in enumerate(self.rows):
-            new = 0
-            while row:
-                low = row & -row
-                new |= 1 << perm[low.bit_length() - 1]
-                row ^= low
-            rows[perm[v]] = new
+        p = np.array(perm, dtype=np.intp)
+        moved = np.empty((n, n), dtype=bool)
+        moved[p[:, None], p] = dense_adjacency(self, bool)
+        rows = _bit_rows(moved)
         labels = None
         if self.labels is not None:
             lab = [""] * n
@@ -202,6 +212,7 @@ class Graph6ParseError(ValueError):
 
 
 _G6_MAX_N = 68719476735  # 2^36 - 1, the format's size limit
+_SIX_BITS = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)  # one group, high bit first
 
 
 def _encode_size(n: int) -> bytes:
@@ -221,22 +232,11 @@ def encode_graph6(g: Graph) -> bytes:
     n = g.n
     if n > _G6_MAX_N:
         raise ValueError(f"n={n} exceeds the graph6 size limit {_G6_MAX_N}")
-    out = bytearray(_encode_size(n))
-    acc = 0
-    nbits = 0
-    rows = g.rows
-    for j in range(1, n):
-        col = rows[j]
-        for i in range(j):
-            acc = (acc << 1) | ((col >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return bytes(out)
+    # x(i, j) of column j is entry (j, i): row-major order of the strict
+    # lower triangle is the graph6 order of the upper one
+    bits = dense_adjacency(g, np.uint8)[np.arange(n)[:, None] > np.arange(n)]
+    groups = np.append(bits, np.zeros(-len(bits) % 6, np.uint8)).reshape(-1, 6)
+    return _encode_size(n) + (groups @ _SIX_BITS + 63).tobytes()
 
 
 def decode_graph6(data: bytes | str) -> Graph:
@@ -295,7 +295,4 @@ def decode_graph6(data: bytes | str) -> Graph:
     # strict lower triangle is the graph6 order of the upper one
     low = np.zeros((n, n), dtype=bool)
     low[np.arange(n)[:, None] > np.arange(n)] = bits[:nbits]
-    packed = np.packbits(low | low.T, axis=1, bitorder="little")
-    buf, w = packed.tobytes(), packed.shape[1]
-    rows = [int.from_bytes(buf[v * w:(v + 1) * w], "little") for v in range(n)]
-    return Graph(n, rows, validate=False)
+    return Graph(n, _bit_rows(low | low.T), validate=False)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .algebra import MatrixFq, binom, field_table, gauss_binom, SUPPORTED_Q
-from .graphcore import Graph
+from .graphcore import Graph, _bit_rows
 
 __all__ = [
     "SchemeParams",
@@ -323,9 +323,7 @@ def _johnson_rows(masks: list[int], counts) -> list[int]:
         cnt = np.zeros((hi - lo, n_vertices), dtype=np.min_scalar_type(64 * words))
         for w in range(words):
             cnt += _popcount(arr[lo:hi, w, None] & arr[None, :, w])
-        packed = np.packbits(lut[cnt], axis=1, bitorder="little")
-        for i in range(hi - lo):
-            rows[lo + i] = int.from_bytes(packed[i].tobytes(), "little")
+        rows[lo:hi] = _bit_rows(lut[cnt])
     return rows
 
 

@@ -15,9 +15,11 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .canon import BudgetExhaustedError, automorphism_generators
 from .certify import canonical_form, lambda_profile, vertex_lambda_colors
-from .graphcore import Graph
+from .graphcore import Graph, dense_adjacency
 from .schemes import johnson_rank, mask_of_elements
 from .spectra import random_primes, signature
 from .switching import GmSpec, WqhSpec, apply_switching, spec_to_json_dict
@@ -193,67 +195,55 @@ def search_gm4(g: Graph, cfg: SearchConfig) -> SearchResult:
 
 
 def search_wqh33(g: Graph, candidates1, candidates2, cfg: SearchConfig) -> SearchResult:
-    """Validating WQH specs among pairs from two triple-candidate lists."""
-    rows = g.rows
+    """Validating WQH specs among pairs from two triple-candidate lists.
+
+    With N1[v, i] = |N(v) & C1_i| and N2 alike, one array pass per C1 triple
+    checks it against every C2 triple: disjoint cells, then one
+    own-minus-other count over the six cell vertices, then, on the pairs
+    left, counts (x, y) = (N1, N2) at every other vertex with x = y or
+    (3, 0) or (0, 3).  Pairs are taken C1 outer, C2 inner, and
+    max_candidates counts pairs.
+    """
     n = g.n
     c1s = [tuple(t) for t in candidates1]
     c2s = [tuple(t) for t in candidates2]
     for t in c1s + c2s:
         if len(t) != 3 or len(set(t)) != 3 or not all(0 <= v < n for v in t):
             raise ValueError(f"candidate triple {t} invalid for n={n}")
-    masks1 = [(1 << t[0]) | (1 << t[1]) | (1 << t[2]) for t in c1s]
-    masks2 = [(1 << t[0]) | (1 << t[1]) | (1 << t[2]) for t in c2s]
+    t1 = np.array(c1s, dtype=np.intp).reshape(-1, 3)
+    t2 = np.array(c2s, dtype=np.intp).reshape(-1, 3)
+    a = dense_adjacency(g, np.int8)
+    n1 = a[:, t1[:, 0]] + a[:, t1[:, 1]] + a[:, t1[:, 2]]
+    n2 = a[:, t2[:, 0]] + a[:, t2[:, 1]] + a[:, t2[:, 2]]
+    m2 = len(c2s)
+    own2 = n2[t2, np.arange(m2)[:, None]]  # N2[t, j] for t in C2_j
     deadline = time.monotonic() + cfg.time_budget
     specs = []
     seen_pairs = set()
     partial = False
-    examined = 0
-    for i, t1 in enumerate(c1s):
-        m1 = masks1[i]
-        if partial:
+    for i, c1 in enumerate(t1):
+        if time.monotonic() > deadline:
+            partial = True
             break
-        for j, t2 in enumerate(c2s):
-            if examined >= cfg.max_candidates:
-                partial = True
-                break
-            examined += 1
-            if examined % 4096 == 0 and time.monotonic() > deadline:
-                partial = True
-                break
-            m2 = masks2[j]
-            if m1 & m2:
-                continue
-            key = (m1, m2) if m1 < m2 else (m2, m1)
-            if key in seen_pairs:
-                continue
-            # cheap check: one constant c across all six cell vertices
-            c = None
-            ok = True
-            for own, other, cell in ((m1, m2, t1), (m2, m1, t2)):
-                for v in cell:
-                    d = (rows[v] & own).bit_count() - (rows[v] & other).bit_count()
-                    if c is None:
-                        c = d
-                    elif d != c:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            both = m1 | m2
-            size = 3
-            for v in range(n):
-                if (both >> v) & 1:
-                    continue
-                n1 = (rows[v] & m1).bit_count()
-                n2 = (rows[v] & m2).bit_count()
-                if n1 != n2 and not (n1 == size and n2 == 0) and not (n1 == 0 and n2 == size):
-                    ok = False
-                    break
-            if ok:
+        take = min(m2, cfg.max_candidates - i * m2)
+        x, cells2 = n1[:, i], t2[:take]
+        d1 = x[c1, None] - n2[c1, :take]
+        d2 = own2[:take] - x[cells2]
+        ok = ((cells2[:, :, None] != c1).all(axis=(1, 2))
+              & (d1 == d1[0]).all(axis=0) & (d2 == d1[0, :, None]).all(axis=1))
+        js = ok.nonzero()[0]
+        y = n2[:, js]
+        fine = (y == x[:, None]) | (y == 3 - x[:, None]) & (x[:, None] % 3 == 0)
+        fine[c1] = True
+        fine[t2[js], np.arange(len(js))[:, None]] = True
+        for j in js[fine.all(axis=0)].tolist():
+            key = frozenset((frozenset(c1s[i]), frozenset(c2s[j])))
+            if key not in seen_pairs:
                 seen_pairs.add(key)
-                specs.append(WqhSpec(t1, t2))
+                specs.append(WqhSpec(c1s[i], c2s[j]))
+        if take < m2:
+            partial = True
+            break
     if cfg.dedup:
         kept, exact = _dedup(g, specs)
         return SearchResult(tuple(kept), partial, exact)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphcore import Graph, _packed_rows
+from .graphcore import Graph, dense_adjacency
 from .switching import switching_certificate
 
 __all__ = [
@@ -107,12 +107,6 @@ def random_primes(count: int, seed: int) -> tuple[int, ...]:
             seen.add(c)
             out.append(c)
     return tuple(out)
-
-
-def dense_adjacency(g: Graph, dtype=np.float64) -> np.ndarray:
-    """The n x n 0/1 adjacency matrix of g, unpacked from its bit rows."""
-    bits = np.unpackbits(_packed_rows(g), axis=1, bitorder="little", count=g.n)
-    return bits.astype(dtype)
 
 
 def _reduce(r: np.ndarray, p: int) -> np.ndarray:

@@ -240,3 +240,100 @@ def vertex_lambda_colors_reference(g) -> list:
         sigs.append((rv.bit_count(), tuple(sorted(ec.items())), tuple(sorted(nc.items()))))
     order = {s: i for i, s in enumerate(sorted(set(sigs)))}
     return [order[s] for s in sigs]
+
+
+def wl1_equivalent_reference(g1, g2) -> bool:
+    """Color refinement on the disjoint union of g1 and g2 with plain dicts:
+    True when every stable color has as many vertices in g1 as in g2."""
+    from collections import Counter
+
+    nbrs = [list(g1.neighbors(v)) for v in range(g1.n)]
+    nbrs += [[g1.n + u for u in g2.neighbors(v)] for v in range(g2.n)]
+    colors = [0] * len(nbrs)
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[u] for u in nbrs[v])))
+                for v in range(len(nbrs))]
+        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        if len(palette) == len(set(colors)):
+            break  # no class split, so the coloring is stable
+        colors = [palette[s] for s in sigs]
+    return Counter(colors[:g1.n]) == Counter(colors[g1.n:])
+
+
+def search_wqh33_reference(g, c1s, c2s, max_candidates=None):
+    """(WQH (c1, c2) pairs with sorted cells, partial) by checking one
+    candidate pair at a time on the bit rows, C1 outer and C2 inner, the
+    first max_candidates pairs only; a pair mirrored or repeated as sets is
+    reported once.  The scan search_wqh33 used before it moved to arrays."""
+    rows = g.rows
+    specs = []
+    seen = set()
+    examined = 0
+    for t1 in c1s:
+        m1 = (1 << t1[0]) | (1 << t1[1]) | (1 << t1[2])
+        for t2 in c2s:
+            if max_candidates is not None and examined >= max_candidates:
+                return specs, True
+            examined += 1
+            m2 = (1 << t2[0]) | (1 << t2[1]) | (1 << t2[2])
+            if m1 & m2:
+                continue
+            key = (min(m1, m2), max(m1, m2))
+            if key in seen:
+                continue
+            ds = {(rows[v] & own).bit_count() - (rows[v] & other).bit_count()
+                  for own, other, cell in ((m1, m2, t1), (m2, m1, t2)) for v in cell}
+            if len(ds) != 1:
+                continue
+            ok = True
+            for v in range(g.n):
+                if ((m1 | m2) >> v) & 1:
+                    continue
+                x, y = (rows[v] & m1).bit_count(), (rows[v] & m2).bit_count()
+                if x != y and (x, y) not in ((3, 0), (0, 3)):
+                    ok = False
+                    break
+            if ok:
+                seen.add(key)
+                specs.append((tuple(sorted(t1)), tuple(sorted(t2))))
+    return specs, False
+
+
+def encode_graph6_reference(g) -> bytes:
+    """graph6 of g, one upper-triangle bit at a time in column order,
+    packed big-endian into 6-bit groups."""
+    n = g.n
+    if n <= 62:
+        out = bytearray([n + 63])
+    elif n <= 258047:
+        out = bytearray([126] + [((n >> s) & 63) + 63 for s in (12, 6, 0)])
+    else:
+        out = bytearray([126, 126] + [((n >> s) & 63) + 63
+                                      for s in (30, 24, 18, 12, 6, 0)])
+    acc = 0
+    nbits = 0
+    for j in range(1, n):
+        for i in range(j):
+            acc = (acc << 1) | ((g.rows[j] >> i) & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(acc + 63)
+                acc = 0
+                nbits = 0
+    if nbits:
+        out.append((acc << (6 - nbits)) + 63)
+    return bytes(out)
+
+
+def relabel_rows_reference(rows, perm) -> list:
+    """Bit rows with vertex v moved to position perm[v], neighbor by
+    neighbor."""
+    out = [0] * len(rows)
+    for v, row in enumerate(rows):
+        new = 0
+        while row:
+            low = row & -row
+            new |= 1 << perm[low.bit_length() - 1]
+            row ^= low
+        out[perm[v]] = new
+    return out

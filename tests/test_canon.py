@@ -13,13 +13,11 @@ from spectral_switch.canon import (
     canonical_form,
     canonical_labeling,
     match_certificate,
-    refine_partition,
-    wl1_colors,
     wl1_histogram,
 )
 from spectral_switch.graphcore import Graph, _mask
 
-from oracles import leaf_cert_reference, refine_reference
+from oracles import leaf_cert_reference, refine_reference, wl1_equivalent_reference
 
 
 def _random_relabel(g, rng):
@@ -92,36 +90,67 @@ def test_automorphism_generators_are_automorphisms(petersen):
             assert petersen.has_edge(p[u], p[v])
 
 
-def test_refine_partition_path():
-    p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    cells = refine_partition(p4)
-    # ends split from middles
-    as_sets = sorted(frozenset(c) for c in cells)
-    assert frozenset({0, 3}) in as_sets and frozenset({1, 2}) in as_sets
-
-
 def test_wl1_cannot_split_regular():
     c6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
     two_c3 = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    r1, h1 = wl1_histogram(c6)
-    r2, h2 = wl1_histogram(two_c3, rounds=r1)
-    assert h1 == h2  # the classic 1-WL blind spot
+    assert wl1_histogram(c6) == wl1_histogram(two_c3)  # the classic 1-WL blind spot
+    assert wl1_histogram(c6) == (6, (), ((2,),))
 
 
 def test_wl1_distinguishes_degree_patterns():
     p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    _, h1 = wl1_histogram(p4)
-    _, h2 = wl1_histogram(star)
-    assert h1 != h2
+    assert wl1_histogram(p4) != wl1_histogram(star)
 
 
-def test_wl1_round_control():
-    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    c0, r0 = wl1_colors(g, rounds=0)
-    assert r0 == 0 and len(set(c0)) == 1
-    c2, r2 = wl1_colors(g, rounds=2)
-    assert r2 == 2
+def test_wl1_certificate_edge_cases():
+    assert wl1_histogram(Graph.from_edges(0, [])) == (0, (), ())
+    assert wl1_histogram(Graph.from_edges(1, [])) == (1, (), ((0,),))
+    # a vertex with 300 neighbours in one cell: more than a uint8 holds
+    star = Graph.from_edges(301, [(0, v) for v in range(1, 301)])
+    n, trace, quotient = wl1_histogram(star)
+    assert trace == ((0, ((1, 300), (300, 1))),)
+    assert quotient == ((0, 1), (300, 0))
+
+
+def _double_edge_swaps(g, k, rng):
+    """g with k random double-edge swaps ab, cd -> ad, cb; degrees stay."""
+    edges = set(g.edges())
+    for _ in range(100 * k):
+        if k == 0 or len(edges) < 2:
+            break
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        new = (min(a, d), max(a, d)), (min(c, b), max(c, b))
+        if len({a, b, c, d}) == 4 and not set(new) & edges:
+            edges -= {(min(a, b), max(a, b)), (min(c, d), max(c, d))}
+            edges |= set(new)
+            k -= 1
+    return Graph.from_edges(g.n, edges)
+
+
+def test_wl1_certificate_matches_disjoint_union_reference():
+    """Equal certificates exactly when color refinement on the disjoint
+    union gives both graphs the same color counts: 1000 pairs of random
+    regular graphs of one degree and 1200 G(n, p) graphs against copies
+    with 1-3 double-edge swaps, n <= 12."""
+    rng = random.Random(2024)
+    outcomes = {True: 0, False: 0}
+    for seed in range(2200):
+        n = rng.randint(4, 12)
+        if seed < 1000:
+            d = rng.choice([d for d in range(1, n - 1) if n * d % 2 == 0])
+            g1, g2 = (Graph.from_edges(n, list(nx.random_regular_graph(
+                d, n, seed=2 * seed + i).edges())) for i in range(2))
+        else:
+            g1 = Graph.from_edges(n, list(nx.gnp_random_graph(
+                n, rng.uniform(0.2, 0.7), seed=seed).edges()))
+            g2 = _double_edge_swaps(g1, rng.randint(1, 3), rng)
+        want = wl1_equivalent_reference(g1, g2)
+        assert (wl1_histogram(g1) == wl1_histogram(g2)) == want, seed
+        outcomes[want] += 1
+    assert min(outcomes.values()) > 300, outcomes
 
 
 # -- the array refinement against the cell-by-cell reference ----------------

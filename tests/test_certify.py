@@ -167,6 +167,44 @@ def test_ladder_edge_lambda_level():
     assert "edge common-neighbor count" in v.witness
 
 
+def test_ladder_nonedge_lambda_level():
+    # C8 and 2*C4: 2-regular and triangle-free, so every edge has no common
+    # neighbour; distance-2 pairs share one neighbour in C8, two in C4
+    c44 = Graph.from_edges(8, [(i, (i + 1) % 4) for i in range(4)]
+                           + [(4 + i, 4 + (i + 1) % 4) for i in range(4)])
+    v = nonisomorphic(cycle(8), c44)
+    assert v == NonIsoVerdict(True, "nonedge-lambda",
+                              "non-edge common-neighbor count 0 appears 12 times "
+                              "in graph 1 but 16 times in graph 2")
+
+
+# An 11-vertex pair with one degree sequence and one lambda profile that
+# color refinement separates only through the counts between its classes.
+WL1_EDGES = [(0, 3), (0, 4), (0, 7), (0, 9), (1, 5), (1, 6), (2, 4), (2, 5), (2, 6),
+             (2, 8), (2, 9), (2, 10), (3, 4), (3, 6), (3, 9), (4, 5), (4, 9), (7, 10),
+             (8, 9), (9, 10)]
+
+
+def test_ladder_wl1_level():
+    g1 = Graph.from_edges(11, WL1_EDGES)
+    g2 = Graph.from_edges(11, [e for e in WL1_EDGES if e not in ((4, 5), (9, 10))]
+                          + [(4, 10), (5, 9)])
+    assert sorted(g1.degrees()) == sorted(g2.degrees())
+    assert lambda_profile(g1) == lambda_profile(g2)
+    v = nonisomorphic(g1, g2)
+    assert v.distinguished and v.level == "wl1-histogram"
+    assert v.witness == ("1-WL quotient entry (1, 3) differs: a vertex of cell 1 "
+                         "has 1 neighbours in cell 3 in graph 1 but 0 in graph 2")
+
+
+def test_wl1_witness_names_a_trace_step():
+    p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    w = certify._wl1_witness(certify.wl1_histogram(p4), certify.wl1_histogram(star))
+    assert w == ("1-WL refinement traces differ at step 0: "
+                 "(0, ((1, 2), (2, 2))) vs (0, ((1, 3), (3, 1)))")
+
+
 def test_ladder_canonical_level(corpus_reports):
     # the q=2 Kneser pair agrees on every cheaper invariant
     rep = corpus_reports["qkneser(n=4,k=2)"]

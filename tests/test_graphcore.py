@@ -12,6 +12,8 @@ from spectral_switch.graphcore import (
     encode_graph6,
 )
 
+from oracles import encode_graph6_reference, relabel_rows_reference
+
 
 def nx_random(n, p, seed):
     g = nx.gnp_random_graph(n, p, seed=seed)
@@ -101,6 +103,17 @@ def test_graph6_frozen_values():
     assert encode_graph6(Graph.from_edges(0, [])) == b"?"
     pet = nx.petersen_graph()
     assert encode_graph6(Graph.from_edges(10, list(pet.edges()))) == b"IheA@GUAo"
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 5, 7, 62, 63, 64, 100, 330))
+def test_encode_and_relabel_match_bit_loop_references(n):
+    g, _ = nx_random(n, 0.3, n)
+    perm = list(range(n))
+    random.Random(n).shuffle(perm)
+    h = g.relabel(perm)
+    assert list(h.rows) == relabel_rows_reference(g.rows, perm)
+    assert encode_graph6(g) == encode_graph6_reference(g)
+    assert encode_graph6(h) == encode_graph6_reference(h)
 
 
 def test_graph6_decode_tolerates_header_and_newline():

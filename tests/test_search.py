@@ -1,5 +1,9 @@
 """Search over candidate switching cells: budgets, dedup, pattern generators."""
 
+import random
+from itertools import combinations
+
+import networkx as nx
 import pytest
 
 from spectral_switch.families import recipe_j2n4, recipe_sporadic
@@ -14,6 +18,8 @@ from spectral_switch.search import (
     search_wqh33,
 )
 from spectral_switch.switching import apply_switching, validate
+
+from oracles import search_wqh33_reference
 
 
 def pair_key(spec):
@@ -108,6 +114,63 @@ def test_wqh33_rediscovers_sporadic_pair():
     res = search_wqh33(g, cands, cands, SearchConfig(mode="wqh33", dedup=False))
     assert len(res.specs) == 280
     assert pair_key(recipe_sporadic("J1-11-4").spec) in {pair_key(s) for s in res.specs}
+
+
+def _wqh33_pairs(g, c1s, c2s, **cfg):
+    res = search_wqh33(g, c1s, c2s, SearchConfig(mode="wqh33", dedup=False, **cfg))
+    return [(s.c1, s.c2) for s in res.specs], res.partial
+
+
+@pytest.mark.parametrize("job", ["core", "blocks"])
+def test_wqh33_matches_reference_on_johnson_jobs(job, j284):
+    """The search workload's two scans: J_2(8,4) core, J_1(11,4) blocks."""
+    if job == "core":
+        g, cands = j284, johnson_core_triples(8, 4)
+    else:
+        g, cands = build(SchemeParams.johnson(11, 4, {1})), johnson_block_triples(11, 4)
+    assert _wqh33_pairs(g, cands, cands) == search_wqh33_reference(g, cands, cands)
+
+
+def test_wqh33_matches_reference_on_random_graphs():
+    """Seeded G(n, p) graphs with two different candidate lists, some
+    triples repeated in another order, and the edgeless and complete graphs,
+    where every disjoint pair is a WQH pair."""
+    found = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        n = rng.randint(7, 12)
+        p = (0.0, 1.0)[seed] if seed < 2 else rng.uniform(0.2, 0.8)
+        g = Graph.from_edges(n, list(nx.gnp_random_graph(n, p, seed=seed).edges()))
+        triples = list(combinations(range(n), 3))
+        c1 = rng.sample(triples, min(len(triples), 60))
+        c2 = rng.sample(triples, min(len(triples), 45))
+        c2 += [(c, a, b) for a, b, c in rng.sample(c1, 5)]
+        want = search_wqh33_reference(g, c1, c2)
+        assert _wqh33_pairs(g, c1, c2) == want, seed
+        found += len(want[0])
+    assert found > 100
+
+
+def test_wqh33_candidate_budget(j284):
+    """A cut after any number of pairs, inside a row or at its end, returns
+    the full list's prefix over those pairs, partial when pairs are left."""
+    c2 = johnson_core_triples(8, 4)
+    c1 = c2[:30]
+    pairs = len(c1) * len(c2)
+    full, partial = _wqh33_pairs(j284, c1, c2)
+    assert not partial and len(full) >= 30
+    for cut in (1, 559, 560, 561, 7 * 560 + 100, pairs - 1, pairs):
+        got = _wqh33_pairs(j284, c1, c2, max_candidates=cut)
+        assert got == search_wqh33_reference(j284, c1, c2, cut)
+        assert got[0] == full[:len(got[0])]
+        assert got[1] == (cut < pairs)
+
+
+def test_wqh33_time_budget(j284):
+    cands = johnson_core_triples(8, 4)
+    res = search_wqh33(j284, cands, cands,
+                       SearchConfig(mode="wqh33", time_budget=1e-9, dedup=False))
+    assert res.partial
 
 
 def test_wqh33_candidate_validation(j284):
