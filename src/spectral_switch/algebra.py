@@ -3,8 +3,8 @@
 Counts are exact Python integers.  Finite fields of order q <= 16 are lookup
 tables built from fixed irreducible polynomials and checked against the field
 axioms at construction time.  Matrices over these fields support reduced row
-echelon form, rank, and subspace intersection dimension; RREF with zero rows
-dropped is the canonical representative of a row space.
+echelon form; RREF with zero rows dropped is the canonical representative of
+a row space.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ __all__ = [
     "SUPPORTED_Q",
     "MatrixFq",
     "rref",
-    "rank",
-    "intersection_dim",
 ]
 
 # Prime-power orders with a fixed monic irreducible polynomial over the prime
@@ -201,11 +199,6 @@ class MatrixFq:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def stack(self, other: "MatrixFq") -> "MatrixFq":
-        if other.field.q != self.field.q or other.ncols != self.ncols:
-            raise ValueError("stack needs matching field and width")
-        return MatrixFq(self.field, self.rows + other.rows, self.ncols)
-
     def is_rref(self) -> bool:
         piv = []
         for row in self.rows:
@@ -268,20 +261,3 @@ def rref(m: MatrixFq) -> MatrixFq:
             break
     return MatrixFq(f, [row for row in work if any(row)], nc)
 
-
-def rank(m: MatrixFq) -> int:
-    """Rank of the matrix over its field."""
-    return rref(m).nrows
-
-
-def intersection_dim(u: MatrixFq, v: MatrixFq) -> int:
-    """dim(U cap V) for row spaces U, V of the same ambient space.
-
-    Uses dim U + dim V - dim(U + V); callers pass canonical RREF bases but any
-    bases work since ranks are recomputed.
-    """
-    if u.field.q != v.field.q:
-        raise ValueError(f"mixed fields F_{u.field.q} and F_{v.field.q}")
-    if u.ncols != v.ncols:
-        raise ValueError(f"mixed ambient dimensions {u.ncols} and {v.ncols}")
-    return rank(u) + rank(v) - rank(u.stack(v))

@@ -10,7 +10,7 @@ unknown when the canonical search exhausts its budget.
 
 Also provides the selective neighbor count lambda(a; b, c) = #{x ~ a, x !~ b,
 x !~ c} and an exhaustive scan for pairwise non-adjacent triples realizing
-lambda(a; b, c) = 1.
+lambda(a; b, c) = 1, one float32 product per vertex a.
 """
 
 from __future__ import annotations
@@ -143,60 +143,39 @@ def selective_neighbor_count(g: Graph, a: int, b: int, c: int) -> int:
     return mask.bit_count()
 
 
-def count_nonadjacent_triples(g: Graph) -> int:
-    """Number of pairwise non-adjacent vertex triples."""
-    full = (1 << g.n) - 1
-    total = 0
-    rows = g.rows
-    for u in range(g.n):
-        cu = ~rows[u] & full & ~((1 << u) - 1) & ~(1 << u)  # non-neighbors above u
-        m = cu
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            total += (cu & ~rows[v] & ~((1 << (v + 1)) - 1)).bit_count()
-    return total
+_SCAN_MAX_N = 2048  # largest vertex count scan_triple_property accepts
 
 
-def scan_triple_property(g: Graph, budget: int = 2_000_000, candidates=None) -> bool:
+def scan_triple_property(g: Graph) -> bool:
     """Does some pairwise non-adjacent triple (a,b,c) have lambda(a;b,c) = 1?
 
-    Exhaustive over ordered triples when the graph has at most `budget`
-    non-adjacent (unordered) triples; otherwise restricted to the supplied
-    candidate triples.  The count is an ordered property of a: all three
-    rotations of each unordered triple are tested.
+    Exhaustive, and every vertex is tried as a.  With N the neighbours of
+    a, M its other non-neighbours and B = A[M, N], every x counted by
+    lambda(a; b, c) lies in N, so by inclusion-exclusion, for b, c in M,
+    lambda(a; b, c) = d(a) - lambda(a, b) - lambda(a, c) + (B B^T)[b, c],
+    where lambda(a, b) is row b's sum in B.  One product per vertex, in
+    float32, exact here: every entry is a count of at most n < 2^24.
     """
-    if candidates is None:
-        if count_nonadjacent_triples(g) > budget:
-            raise ValueError(
-                "too many non-adjacent triples for an exhaustive scan; "
-                "pass explicit candidate triples"
-            )
-        candidates = _nonadjacent_triples(g)
-    for a, b, c in candidates:
-        if (selective_neighbor_count(g, a, b, c) == 1
-                or selective_neighbor_count(g, b, a, c) == 1
-                or selective_neighbor_count(g, c, a, b) == 1):
+    n = g.n
+    if n > _SCAN_MAX_N:
+        raise ValueError(f"the triple scan takes at most {_SCAN_MAX_N} vertices, "
+                         f"got {n}")
+    a = dense_adjacency(g, np.float32)
+    adj = a != 0
+    for v in range(n):
+        nbrs = adj[v]
+        others = ~nbrs
+        others[v] = False
+        if others.sum() < 2:
+            continue
+        b = a[others][:, nbrs]
+        shared = b.sum(axis=1)  # lambda(v, x) for x in M
+        count = (b @ b.T) - shared[:, None] - shared[None, :] + b.shape[1]
+        free = ~adj[np.ix_(others, others)]
+        np.fill_diagonal(free, False)
+        if (free & (count == 1)).any():
             return True
     return False
-
-
-def _nonadjacent_triples(g: Graph):
-    full = (1 << g.n) - 1
-    rows = g.rows
-    for u in range(g.n):
-        cu = ~rows[u] & full & ~((1 << (u + 1)) - 1)
-        m = cu
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            rest = cu & ~rows[v] & ~((1 << (v + 1)) - 1)
-            while rest:
-                lw = rest & -rest
-                yield (u, v, lw.bit_length() - 1)
-                rest ^= lw
 
 
 @dataclass(frozen=True)

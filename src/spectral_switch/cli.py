@@ -3,8 +3,8 @@
 Subcommands: build, switch, verify, recipe, search, spectrum.  Graph inputs
 accept a scheme-parameter string (J{2}(8,4), Jq{0}(6,3;q=2)) or a path to a
 graph6 or edge-list JSON file.  Exit codes: 0 success, 1 usage error,
-2 invalid spec, 3 inconclusive, 4 resource cap exceeded, 5 graph too large
-for the charpoly kernel.
+2 invalid spec, 3 inconclusive (including a search stopped by its budget),
+4 resource cap exceeded, 5 graph too large for the charpoly kernel.
 """
 
 from __future__ import annotations
@@ -243,8 +243,11 @@ def cmd_recipe(args) -> int:
 
 def cmd_search(args) -> int:
     cap = _cap_from(args)
-    cfg = SearchConfig(mode=args.mode, max_candidates=args.limit,
-                       time_budget=args.budget, dedup=not args.no_dedup)
+    try:
+        cfg = SearchConfig(mode=args.mode, max_candidates=args.limit,
+                           time_budget=args.budget, dedup=not args.no_dedup)
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, str(exc))
     g = _load_graph(args.graph, cap)
     if args.mode == "gm4":
         result = search_gm4(g, cfg)
@@ -274,6 +277,10 @@ def cmd_search(args) -> int:
     out["kind"] = "search"
     out["mode"] = args.mode
     _emit_report(out, args.out)
+    if result.partial:
+        print(f"search budget reached: --limit {args.limit}, --budget {args.budget} s",
+              file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 

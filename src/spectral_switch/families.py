@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import MatrixFq, binom, field_table, intersection_dim, rref
+from .algebra import MatrixFq, binom, field_table, rref
 from .certify import (
     NonIsoVerdict,
     nonisomorphic,
@@ -282,44 +282,16 @@ def recipe_qkneser(n: int, k: int) -> Recipe:
     pi_gens = [_e(n, i) for i in range(4, k + 2)]
     p1, p2, p3 = _e(n, 1), _e(n, 2), _e(n, 3)
     p4, p5 = _e(n, 1, 2), _e(n, 1, 3)
-    cell_bases = [
-        _f2_space(n, [p1, p2] + pi_gens),
-        _f2_space(n, [p1, p3] + pi_gens),
-        _f2_space(n, [p2, p3] + pi_gens),
-        _f2_space(n, [p4, p5] + pi_gens),
-    ]
-    for b in cell_bases:
-        if b.nrows != k:
-            raise ValueError("pi does not intersect <e1,e2,e3> trivially")
     if k == 2:
         tau_gens = [_e(n, 4)]
     else:
         tau_gens = [_e(n, i) for i in range(k + 2, 2 * k + 1)]
-    tau = _f2_space(n, tau_gens)
-    big = _f2_space(n, [p1, p2, p3] + pi_gens)
-    if tau.nrows != k - 1:
-        raise ValueError("tau generators are dependent")
-    if intersection_dim(tau, big) != 0:
-        raise ValueError("tau must intersect p1p2p3pi trivially")
-    triple_bases = [
-        _f2_space(n, [p1] + tau_gens),
-        _f2_space(n, [p2] + tau_gens),
-        _f2_space(n, [p4] + tau_gens),
-    ]
-    for b in triple_bases:
-        if b.nrows != k:
-            raise ValueError("witness space degenerated below dimension k")
-    verts = enumerate_vertices(params)
-    index = {v.basis: i for i, v in enumerate(verts)}
-
-    def locate(b: MatrixFq) -> int:
-        try:
-            return index[b]
-        except KeyError:
-            raise ValueError(f"space {b!r} missing from the vertex order") from None
-
-    spec = GmSpec([[locate(b) for b in cell_bases]])
-    a, b_, c = (locate(x) for x in triple_bases)
+    # every generator list below is independent: distinct standard basis
+    # vectors, or e1+e2 and e1+e3 with no other e1, e2 or e3
+    index = {v.basis: i for i, v in enumerate(enumerate_vertices(params))}
+    spec = GmSpec([[index[_f2_space(n, [x, y] + pi_gens)]
+                    for x, y in ((p1, p2), (p1, p3), (p2, p3), (p4, p5))]])
+    a, b_, c = (index[_f2_space(n, [x] + tau_gens)] for x in (p1, p2, p4))
     witness = SelectiveTriple(a, b_, c)
     return Recipe(f"qkneser(n={n},k={k})", params, spec, (witness,),
                   "four k-spaces pairwise meeting in dimension k-1")

@@ -22,6 +22,8 @@ import re
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
+import numpy as np
+
 from .algebra import MatrixFq, binom, field_table, gauss_binom, SUPPORTED_Q
 from .graphcore import Graph, _bit_rows
 
@@ -268,8 +270,6 @@ def johnson_rank(mask: int) -> int:
 
 def _popcount(x):
     """Set bits of each element of a uint64 array."""
-    import numpy as np
-
     if hasattr(np, "bitwise_count"):
         return np.bitwise_count(x)
     # numpy < 2: count the eight bytes of each element through a table
@@ -307,8 +307,6 @@ def _johnson_rows(masks: list[int], counts) -> list[int]:
     own neighbour.  Masks of any width are split into 64-bit words and the
     popcounts of the words are summed.
     """
-    import numpy as np
-
     n_vertices = len(masks)
     words = (max(masks).bit_length() + 63) // 64
     arr = np.frombuffer(

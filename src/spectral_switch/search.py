@@ -237,10 +237,11 @@ def search_wqh33(g: Graph, candidates1, candidates2, cfg: SearchConfig) -> Searc
         fine[c1] = True
         fine[t2[js], np.arange(len(js))[:, None]] = True
         for j in js[fine.all(axis=0)].tolist():
-            key = frozenset((frozenset(c1s[i]), frozenset(c2s[j])))
+            spec = WqhSpec(c1s[i], c2s[j])
+            key = _spec_key(spec)
             if key not in seen_pairs:
                 seen_pairs.add(key)
-                specs.append(WqhSpec(c1s[i], c2s[j]))
+                specs.append(spec)
         if take < m2:
             partial = True
             break
@@ -281,25 +282,22 @@ def _block_partitions(elems: tuple[int, ...], size: int):
             yield (block,) + tail
 
 
-def johnson_block_triples(n: int, k: int, base: tuple[int, ...] | None = None
-                          ) -> list[tuple[int, int, int]]:
-    """Triples {B u {x} : B in a partition of a fixed 3(k-1)-set}, x outside.
+def johnson_block_triples(n: int, k: int) -> list[tuple[int, int, int]]:
+    """Triples {B u {x} : B in a partition of {1..3(k-1)}}, x outside it.
 
-    Default base: the first 3(k-1) ground elements.  Every partition of the
-    base into three (k-1)-blocks is combined with every tail element x.
+    Every partition of the first 3(k-1) ground elements into three
+    (k-1)-blocks is combined with every later element x, so the pattern
+    needs n >= 3(k-1) + 1.
     """
     if k < 2:
         raise ValueError("pattern needs k >= 2")
     need = 3 * (k - 1)
-    if base is None:
-        base = tuple(range(1, need + 1))
-    base = tuple(sorted(base))
-    if len(base) != need or not all(1 <= e <= n for e in base):
-        raise ValueError(f"base must hold {need} distinct ground elements in 1..{n}")
-    tails = [x for x in range(1, n + 1) if x not in base]
+    if n <= need:
+        raise ValueError(f"the blocks pattern needs n >= 3(k-1) + 1 = {need + 1} "
+                         f"for k={k}, got n={n}")
     out = []
-    for blocks in _block_partitions(base, k - 1):
-        for x in tails:
+    for blocks in _block_partitions(tuple(range(1, need + 1)), k - 1):
+        for x in range(need + 1, n + 1):
             out.append(tuple(
                 johnson_rank(mask_of_elements(b + (x,), n)) for b in blocks
             ))

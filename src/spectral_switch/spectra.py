@@ -47,7 +47,6 @@ __all__ = [
     "MAX_CHARPOLY_N",
     "CharpolySizeError",
     "charpoly_mod_p",
-    "dense_adjacency",
     "CharPolySignature",
     "signature",
     "CospectralVerdict",

@@ -17,6 +17,8 @@ Both operations preserve the characteristic polynomial and are involutions.
 Each is conjugation by a rational orthogonal matrix Q, block-diagonal over
 the cells and the identity elsewhere; switching_certificate checks
 Q^T A Q = A' exactly, which proves a pair cospectral without a charpoly.
+It reads only the rows of the cells: both sides are symmetric, so those
+rows fix the cell columns too.
 """
 
 from __future__ import annotations
@@ -291,24 +293,25 @@ def switching_certificate(g: Graph, mate: Graph, spec) -> bool:
     A' are the adjacency matrices of g and mate; then the pair is cospectral.
 
     Q has one block per GM cell or WQH pair (see _switching_blocks) and is
-    the identity elsewhere.  Everything is checked exactly in int64, each
-    block scaled by its own L: P^T P = L^2 I for every block; the rows and
-    columns that meet the cells through products of at most |cells| x n
-    entries; the rest, where Q is the identity, by comparing bit rows off the
-    cell mask.  A scaled entry is at most (3/2 m_a)(3/2 m_b) < 3 n^2 for
-    blocks of m_a and m_b vertices, inside int64 for any n < 2^30.  Only g,
-    mate and spec are read: the answer does not depend on the spec being
-    valid.
+    the identity elsewhere.  Only the cell rows are read: R = A[cells, :]
+    and R' = A'[cells, :].  Both sides of the identity are symmetric (every
+    Graph is), so the cell columns are the transposes of the cell rows and
+    need no check of their own.  Everything is checked exactly in int64,
+    each block scaled by its own L: P_a^T R[C_a, T] = L_a R'[C_a, T] off
+    the cells, P_a^T R[C_a, C_b] P_b = L_a L_b R'[C_a, C_b] on cell blocks,
+    and, where Q is the identity, bit rows compared off the cell mask.  A
+    scaled entry is at most (3/2 m_a)(3/2 m_b) < 3 n^2 for blocks of m_a and
+    m_b vertices, inside int64 for any n < 2^30.  P^T P = L^2 I holds for
+    every block by construction, and the spec constructors reject repeated
+    vertices.  Only g, mate and spec are read: the answer does not depend on
+    the spec being valid.
     """
     blocks = _switching_blocks(spec)
     cells = [v for vs, _, _ in blocks for v in vs]
     _check_spec_range(g, cells)
     n = g.n
-    if mate.n != n or len(set(cells)) != len(cells):
+    if mate.n != n:
         return False
-    for _, p, scale in blocks:
-        if not np.array_equal(p.T @ p, scale * scale * np.eye(len(p), dtype=np.int64)):
-            return False
     inside = _mask(cells)
     off = ((1 << n) - 1) ^ inside
     for v, (a, b) in enumerate(zip(g.rows, mate.rows)):
@@ -317,31 +320,25 @@ def switching_certificate(g: Graph, mate: Graph, spec) -> bool:
     idx = np.array(cells)
     out = np.ones(n, dtype=bool)
     out[idx] = False
-    shift = (idx & 7).astype(np.uint8)
 
-    def lines(h: Graph) -> tuple[np.ndarray, np.ndarray]:
-        """A[cells, :] and A[:, cells] for h's adjacency matrix A."""
-        packed = _packed_rows(h)
-        rows = np.unpackbits(packed[idx], axis=1, bitorder="little", count=n)
-        cols = (packed[:, idx >> 3] >> shift) & 1
-        return rows.astype(np.int64), cols.astype(np.int64)
+    def cell_rows(h: Graph) -> np.ndarray:
+        """A[cells, :] for h's adjacency matrix A."""
+        rows = np.unpackbits(_packed_rows(h)[idx], axis=1, bitorder="little", count=n)
+        return rows.astype(np.int64)
 
-    (ra, ca), (rm, cm) = lines(g), lines(mate)
+    r, rm = cell_rows(g), cell_rows(mate)
     starts = np.cumsum([0] + [len(p) for _, p, _ in blocks])
     slices = [slice(a, b) for a, b in zip(starts, starts[1:])]
     scales = np.repeat([s for _, _, s in blocks], np.diff(starts))
-    # L_b (A Q) on each block's columns; its off-cell rows must be L_b A'
-    aq = np.empty((len(cells), len(cells)), dtype=np.int64)
-    for sl, (_, p, scale) in zip(slices, blocks):
-        z = ca[:, sl] @ p
-        if not np.array_equal(z[out], scale * cm[out, sl]):
-            return False
-        aq[:, sl] = z[idx]
+    # L_b (R Q) on each block's cell columns
+    rq = np.empty((len(cells), len(cells)), dtype=np.int64)
+    for sl, (_, p, _) in zip(slices, blocks):
+        rq[:, sl] = r[:, idx[sl]] @ p
     # L_a (Q^T A) off the cells, and L_a L_b (Q^T A Q) on cell blocks
     for sl, (_, p, scale) in zip(slices, blocks):
-        if not np.array_equal(p.T @ ra[sl][:, out], scale * rm[sl][:, out]):
+        if not np.array_equal(p.T @ r[sl][:, out], scale * rm[sl][:, out]):
             return False
-        if not np.array_equal(p.T @ aq[sl], scale * scales * cm[idx[sl]]):
+        if not np.array_equal(p.T @ rq[sl], scale * scales * rm[sl][:, idx]):
             return False
     return True
 

@@ -3,7 +3,9 @@
 Everything here is deliberately written against different algorithms than
 the package: exact Faddeev-LeVerrier or a plain determinant mod p instead of
 Hessenberg mod p, vector-set closure instead of RREF enumeration, itertools
-set counting instead of bitmask rows.  Slow and simple on purpose.
+set counting instead of bitmask rows.  Slow and simple on purpose.  The
+*_reference functions are the package's earlier versions of a function,
+kept as the reference that its replacement must equal.
 """
 
 from itertools import combinations
@@ -337,3 +339,100 @@ def relabel_rows_reference(rows, perm) -> list:
             row ^= low
         out[perm[v]] = new
     return out
+
+
+def rank(m) -> int:
+    """Rank of an F_q matrix: the row count of its RREF."""
+    from spectral_switch.algebra import rref
+
+    return rref(m).nrows
+
+
+def intersection_dim(u, v) -> int:
+    """dim(U cap V) for row spaces U, V of one ambient F_q^n, as
+    dim U + dim V - dim(U + V); any bases work, since ranks are recomputed."""
+    from spectral_switch.algebra import MatrixFq
+
+    if u.field.q != v.field.q:
+        raise ValueError(f"mixed fields F_{u.field.q} and F_{v.field.q}")
+    if u.ncols != v.ncols:
+        raise ValueError(f"mixed ambient dimensions {u.ncols} and {v.ncols}")
+    return rank(u) + rank(v) - rank(MatrixFq(u.field, u.rows + v.rows, u.ncols))
+
+
+def switching_certificate_reference(g, mate, spec) -> bool:
+    """Q^T A Q = A' checked on both the rows and the columns that meet the
+    cells, with P^T P = L^2 I checked per block and repeated cell vertices
+    refused: the certificate before it read the cell rows only."""
+    import numpy as np
+
+    from spectral_switch.graphcore import _mask, _packed_rows
+    from spectral_switch.switching import _check_spec_range, _switching_blocks
+
+    blocks = _switching_blocks(spec)
+    cells = [v for vs, _, _ in blocks for v in vs]
+    _check_spec_range(g, cells)
+    n = g.n
+    if mate.n != n or len(set(cells)) != len(cells):
+        return False
+    for _, p, scale in blocks:
+        if not np.array_equal(p.T @ p, scale * scale * np.eye(len(p), dtype=np.int64)):
+            return False
+    inside = _mask(cells)
+    off = ((1 << n) - 1) ^ inside
+    for v, (a, b) in enumerate(zip(g.rows, mate.rows)):
+        if (a ^ b) & off and not (inside >> v) & 1:
+            return False
+    idx = np.array(cells)
+    out = np.ones(n, dtype=bool)
+    out[idx] = False
+    shift = (idx & 7).astype(np.uint8)
+
+    def lines(h):
+        packed = _packed_rows(h)
+        rows = np.unpackbits(packed[idx], axis=1, bitorder="little", count=n)
+        cols = (packed[:, idx >> 3] >> shift) & 1
+        return rows.astype(np.int64), cols.astype(np.int64)
+
+    (ra, ca), (rm, cm) = lines(g), lines(mate)
+    starts = np.cumsum([0] + [len(p) for _, p, _ in blocks])
+    slices = [slice(a, b) for a, b in zip(starts, starts[1:])]
+    scales = np.repeat([s for _, _, s in blocks], np.diff(starts))
+    aq = np.empty((len(cells), len(cells)), dtype=np.int64)
+    for sl, (_, p, scale) in zip(slices, blocks):
+        z = ca[:, sl] @ p
+        if not np.array_equal(z[out], scale * cm[out, sl]):
+            return False
+        aq[:, sl] = z[idx]
+    for sl, (_, p, scale) in zip(slices, blocks):
+        if not np.array_equal(p.T @ ra[sl][:, out], scale * rm[sl][:, out]):
+            return False
+        if not np.array_equal(p.T @ aq[sl], scale * scales * cm[idx[sl]]):
+            return False
+    return True
+
+
+def scan_triple_property_reference(g) -> bool:
+    """Some pairwise non-adjacent triple with a selective count of 1: each
+    triple listed from the bit rows, each of its three rotations counted by
+    selective_neighbor_count.  The scan before it became one product per
+    vertex."""
+    from spectral_switch.certify import selective_neighbor_count as count
+
+    full = (1 << g.n) - 1
+    rows = g.rows
+    for u in range(g.n):
+        cu = ~rows[u] & full & ~((1 << (u + 1)) - 1)  # non-neighbors above u
+        m = cu
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            rest = cu & ~rows[v] & ~((1 << (v + 1)) - 1)
+            while rest:
+                lw = rest & -rest
+                w = lw.bit_length() - 1
+                rest ^= lw
+                if count(g, u, v, w) == 1 or count(g, v, u, w) == 1 or count(g, w, u, v) == 1:
+                    return True
+    return False

@@ -8,12 +8,16 @@ from spectral_switch.algebra import (
     binom,
     field_table,
     gauss_binom,
-    intersection_dim,
-    rank,
     rref,
 )
 
-from oracles import count_rref_pivot_patterns, f2_rank, subspace_counts_by_dim
+from oracles import (
+    count_rref_pivot_patterns,
+    f2_rank,
+    intersection_dim,
+    rank,
+    subspace_counts_by_dim,
+)
 
 
 def test_binom_matches_product_formula():

@@ -10,7 +10,6 @@ from spectral_switch.certify import (
     LADDER_LEVELS,
     NonIsoVerdict,
     canonical_form,
-    count_nonadjacent_triples,
     lambda_profile,
     nonisomorphic,
     scan_triple_property,
@@ -19,7 +18,11 @@ from spectral_switch.certify import (
 )
 from spectral_switch.graphcore import Graph
 
-from oracles import selective_count_brute, vertex_lambda_colors_reference
+from oracles import (
+    scan_triple_property_reference,
+    selective_count_brute,
+    vertex_lambda_colors_reference,
+)
 
 
 def cycle(n):
@@ -86,21 +89,6 @@ def test_selective_count_rejects_repeats():
         selective_neighbor_count(g, 1, 1, 2)
 
 
-def test_count_nonadjacent_triples():
-    from itertools import combinations
-
-    assert count_nonadjacent_triples(complete(5)) == 0
-    assert count_nonadjacent_triples(Graph(6, [0] * 6)) == 20  # C(6,3)
-    for seed in range(8):
-        g = random_graph(10, 0.4, seed)
-        brute = sum(
-            1
-            for a, b, c in combinations(range(10), 3)
-            if not g.has_edge(a, b) and not g.has_edge(a, c) and not g.has_edge(b, c)
-        )
-        assert count_nonadjacent_triples(g) == brute
-
-
 def test_scan_triple_property():
     # a-b path plus two isolated vertices: lambda(b; c, d) = 1 via a
     g = Graph.from_edges(4, [(0, 1)])
@@ -111,14 +99,37 @@ def test_scan_triple_property():
     assert scan_triple_property(complete(5)) is False
 
 
-def test_scan_triple_property_budget_and_candidates():
-    g = Graph(9, [0] * 9)  # 84 non-adjacent triples
-    with pytest.raises(ValueError, match="too many"):
-        scan_triple_property(g, budget=10)
-    # explicit candidates bypass the budget
-    assert scan_triple_property(g, budget=10, candidates=[(0, 1, 2)]) is False
-    g2 = Graph.from_edges(4, [(0, 1)])
-    assert scan_triple_property(g2, budget=0, candidates=[(1, 2, 3)]) is True
+def test_scan_triple_property_size_limit(monkeypatch):
+    monkeypatch.setattr(certify, "_SCAN_MAX_N", 8)
+    assert scan_triple_property(Graph(8, [0] * 8)) is False
+    with pytest.raises(ValueError, match="at most 8 vertices, got 9"):
+        scan_triple_property(Graph(9, [0] * 9))
+
+
+def test_scan_matches_reference_on_random_graphs():
+    """Seeded G(n, p) graphs with n <= 12, both outcomes many times over."""
+    outcomes = {True: 0, False: 0}
+    for seed in range(2400):
+        rng = random.Random(seed)
+        g = random_graph(rng.randrange(0, 13), rng.choice((0.2, 0.35, 0.5, 0.65, 0.8)),
+                         seed)
+        got = scan_triple_property(g)
+        assert got == scan_triple_property_reference(g), seed
+        outcomes[got] += 1
+    assert min(outcomes.values()) > 500, outcomes
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_scan_matches_reference_on_qkneser_pairs(n):
+    from spectral_switch.families import recipe_qkneser
+    from spectral_switch.schemes import build
+    from spectral_switch.switching import apply_switching
+
+    r = recipe_qkneser(n, 2)
+    g = build(r.params)
+    mate = apply_switching(g, r.spec)
+    assert scan_triple_property(g) is scan_triple_property_reference(g) is False
+    assert scan_triple_property(mate) is scan_triple_property_reference(mate) is True
 
 
 def test_scan_matches_brute_rotations():

@@ -274,6 +274,34 @@ def test_search_wqh33_candidates_file(tmp_path, capsys):
     assert len(json.loads(out)["specs"]) == 1
 
 
+@pytest.mark.parametrize("flag", ["--limit", "--budget"])
+def test_search_nonpositive_budget_is_usage_error(capsys, flag):
+    code, out, err = run(capsys, "search", "--mode", "gm4",
+                         "--graph", "Jq{0}(4,2;q=2)", flag, "0")
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == "error: budgets must be positive\n"
+
+
+def test_search_stopped_by_budget_is_inconclusive(capsys):
+    code, out, err = run(capsys, "search", "--mode", "gm4",
+                         "--graph", "Jq{0}(4,2;q=2)", "--limit", "100")
+    assert code == cli.EXIT_INCONCLUSIVE
+    doc = json.loads(out)
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["partial"] is True
+    assert err == "search budget reached: --limit 100, --budget 300.0 s\n"
+
+
+def test_search_blocks_pattern_names_its_need(capsys):
+    code, out, err = run(capsys, "search", "--mode", "wqh33", "--graph", "J{2}(8,4)",
+                         "--pattern", "blocks")
+    assert code == cli.EXIT_INVALID_SPEC
+    assert out == ""
+    assert err == ("error: the blocks pattern needs n >= 3(k-1) + 1 = 10 "
+                   "for k=4, got n=8\n")
+
+
 def test_search_wqh33_needs_candidates_for_plain_files(tmp_path, capsys):
     path = tmp_path / "g.g6"
     run(capsys, "build", "J{2}(8,4)", "--out", str(path))

@@ -65,6 +65,19 @@ def test_qkneser_recipe_shape():
     assert isinstance(w, SelectiveTriple)
 
 
+@pytest.mark.parametrize("n, k, cell, witness", [
+    (4, 2, (0, 10, 16, 28), (24, 32, 26)),
+    (5, 2, (0, 36, 64, 120), (96, 136, 104)),
+    (6, 2, (0, 136, 256, 496), (384, 560, 416)),
+    (6, 3, (512, 656, 960, 1240), (1232, 1376, 1236)),
+    (7, 3, (4096, 5184, 7936, 10416), (10304, 11600, 10336)),
+])
+def test_qkneser_specs_and_witnesses_frozen(n, k, cell, witness):
+    r = recipe_qkneser(n, k)
+    assert r.spec == GmSpec([cell])
+    assert r.witnesses == (SelectiveTriple(*witness),)
+
+
 def test_common_neighbor_change_witness():
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
     tri = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])

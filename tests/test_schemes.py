@@ -4,7 +4,6 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from spectral_switch.algebra import intersection_dim
 from spectral_switch.canon import canonical_form
 from spectral_switch.graphcore import Graph
 from spectral_switch.schemes import (
@@ -23,7 +22,7 @@ from spectral_switch.schemes import (
     mask_of_elements,
 )
 
-from oracles import johnson_degree_direct
+from oracles import intersection_dim, johnson_degree_direct
 
 
 def test_parse_format_round_trip():

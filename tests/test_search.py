@@ -92,10 +92,11 @@ def test_block_triples_shape():
     cands = johnson_block_triples(11, 4)
     assert len(cands) == 560  # 280 partitions of {1..9} x 2 tails
     assert all(len(set(t)) == 3 for t in cands)
-    with pytest.raises(ValueError, match="base must hold"):
-        johnson_block_triples(11, 4, base=(1, 2, 3))
     with pytest.raises(ValueError, match="k >= 2"):
         johnson_block_triples(6, 1)
+    assert len(johnson_block_triples(10, 4)) == 280  # one tail
+    with pytest.raises(ValueError, match=r"needs n >= 3\(k-1\) \+ 1 = 10 for k=4, got n=9"):
+        johnson_block_triples(9, 4)
 
 
 def test_wqh33_rediscovers_j2n4_pair(j284):

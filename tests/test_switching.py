@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from spectral_switch.families import recipe_j2n4, recipe_qkneser
@@ -12,12 +13,15 @@ from spectral_switch.switching import (
     GmSpec,
     InvalidSpecError,
     WqhSpec,
+    _switching_blocks,
     apply_switching,
     spec_from_json_dict,
     spec_to_json_dict,
     switching_certificate,
     validate,
 )
+
+from oracles import switching_certificate_reference
 
 
 def test_gm_spec_constructor_rejections():
@@ -155,6 +159,7 @@ def test_planted_gm_cells_randomized():
         assert apply_switching(mate, spec) == g
         assert charpoly_mod_p(g, p) == charpoly_mod_p(mate, p)
         assert switching_certificate(g, mate, spec)
+        assert switching_certificate_reference(g, mate, spec)
         # flip one cell edge of an outside vertex with count 2: now 1 or 3
         v = next(u for u in range(4, g.n)
                  if (g.rows[u] & 0b1111).bit_count() == 2)
@@ -163,17 +168,65 @@ def test_planted_gm_cells_randomized():
         rows[0] ^= 1 << v
         broken = Graph(g.n, rows)
         assert not validate(broken, spec).valid
+        for h in (g, broken):
+            assert not switching_certificate(h, broken, spec)
+            assert not switching_certificate_reference(h, broken, spec)
 
 
-def test_recipe_pairs_proved_by_switching_certificate(corpus_reports):
-    verdicts = {name: rep.cospectral_verdict for name, rep in corpus_reports.items()}
+@pytest.fixture(scope="module")
+def recipe_pairs(corpus_reports):
+    """(graph, mate, spec) for the corpus, K_2(6,3) and j2n4(9..12)."""
+    pairs = {name: (rep.graph, rep.mate, rep.recipe.spec)
+             for name, rep in corpus_reports.items()}
     for r in (recipe_qkneser(6, 3), *map(recipe_j2n4, range(9, 13))):
         g = build(r.params)
-        verdicts[r.name] = cospectral(g, apply_switching(g, r.spec), spec=r.spec)
+        pairs[r.name] = (g, apply_switching(g, r.spec), r.spec)
+    assert len(pairs) == 11
+    return pairs
+
+
+def test_recipe_pairs_proved_by_switching_certificate(corpus_reports, recipe_pairs):
+    verdicts = {name: rep.cospectral_verdict for name, rep in corpus_reports.items()}
+    for name, (g, mate, spec) in recipe_pairs.items():
+        if name not in verdicts:
+            verdicts[name] = cospectral(g, mate, spec=spec)
     assert len(verdicts) == 11
     for name, v in verdicts.items():
         assert v.equal and v.method == "switching", name
         assert v.error_bound == 0 and v.primes_used == (), name
+
+
+def test_certificate_matches_reference_on_toggled_mates(recipe_pairs):
+    """On every recipe pair, and on seeded single-edge toggles of its mate
+    inside the cells, between a cell and the outside, and outside."""
+    for name, (g, mate, spec) in recipe_pairs.items():
+        assert switching_certificate(g, mate, spec), name
+        assert switching_certificate_reference(g, mate, spec), name
+        rng = random.Random(name)
+        cells = spec.all_vertices()
+        outside = sorted(set(range(g.n)) - set(cells))
+        for ends in ((cells, cells), (cells, outside), (outside, outside)):
+            for _ in range(10):
+                u, v = rng.choice(ends[0]), rng.choice(ends[1])
+                while u == v:
+                    v = rng.choice(ends[1])
+                rows = list(mate.rows)
+                rows[u] ^= 1 << v
+                rows[v] ^= 1 << u
+                bad = Graph(g.n, rows, validate=False)  # still symmetric
+                assert not switching_certificate(g, bad, spec), (name, u, v)
+                assert not switching_certificate_reference(g, bad, spec), (name, u, v)
+
+
+def test_switching_blocks_are_scaled_orthogonal():
+    """P^T P = L^2 I for GM cells of every even size up to 64 and WQH pairs
+    of every size up to 32, so the certificate need not check it."""
+    specs = [GmSpec([range(m)]) for m in range(2, 65, 2)]
+    specs += [WqhSpec(range(m), range(m, 2 * m)) for m in range(1, 33)]
+    for spec in specs:
+        ((vertices, p, scale),) = _switching_blocks(spec)
+        assert p.shape == (len(vertices), len(vertices))
+        assert (p.T @ p == scale * scale * np.eye(len(p), dtype=np.int64)).all(), spec
 
 
 @pytest.mark.parametrize("name", ["j2n4(n=8)", "qkneser(n=4,k=2)"])
