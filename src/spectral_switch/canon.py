@@ -271,8 +271,6 @@ def canonical_labeling(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
     holds vertex perm[i].  Isomorphic graphs with isomorphic colorings get
     equal certificates.  Raises BudgetExhaustedError past the node budget.
     """
-    if g.n == 0:
-        return b"", ()
     search, header = _run_search(g, budget, colors)
     return header + search.best_cert, tuple(search.best_order.tolist())
 
@@ -290,8 +288,6 @@ def match_certificate(g: Graph, cert: bytes, budget: int = DEFAULT_NODE_BUDGET,
     after a full search means the certificates differ.  Raises
     BudgetExhaustedError past the node budget.
     """
-    if g.n == 0:
-        return () if cert == b"" else None
     adj, order, bnd, init_sig, root_trace = _refine_root(g, colors)
     header = _header(g, init_sig, root_trace)
     if not cert.startswith(header):
@@ -310,8 +306,6 @@ def automorphism_generators(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
     (two leaves of the search produced identical relabeled adjacency).  The
     list usually does not generate the full automorphism group.
     """
-    if g.n == 0:
-        return []
     search, _ = _run_search(g, budget, colors)
     return [tuple(gamma) for gamma in search.gens.tolist()]
 
@@ -342,8 +336,6 @@ def wl1_histogram(g: Graph):
     Discrete Math. 132, 1994).
     """
     adj, order, bnd, _, trace = _refine_root(g, None)
-    if g.n == 0:
-        return 0, trace, ()
     starts = bnd.nonzero()[0]
     quotient = np.add.reduceat(adj[order[starts]][:, order], starts, axis=1,
                                dtype=np.int64)

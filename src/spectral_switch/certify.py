@@ -52,12 +52,6 @@ class LambdaProfile:
     edge: tuple[tuple[int, int], ...]  # sorted (count, multiplicity)
     nonedge: tuple[tuple[int, int], ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "edge": [list(x) for x in self.edge],
-            "nonedge": [list(x) for x in self.nonedge],
-        }
-
 
 _LAMBDA_ROWS = 256  # rows of A A formed at a time
 
@@ -75,7 +69,7 @@ def lambda_profile(g: Graph) -> LambdaProfile:
     nonedge = np.zeros(n + 1, dtype=np.int64)
     for r0 in range(0, n, _LAMBDA_ROWS):
         r1 = min(r0 + _LAMBDA_ROWS, n)
-        lam = (a[r0:r1] @ a[:, r0:]).astype(np.int64)
+        lam = (a[r0:r1] @ a[:, r0:]).astype(np.int32)
         upper = np.arange(r0, n) > np.arange(r0, r1)[:, None]
         adj = a[r0:r1, r0:] != 0
         edge += np.bincount(lam[upper & adj], minlength=n + 1)

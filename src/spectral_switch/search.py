@@ -3,14 +3,15 @@
 gm4 enumerates 4-subsets of the vertex set as single GM cells, rejecting on
 the cheap within-cell regularity condition before scanning outside vertices.
 wqh33 validates pairs of caller-supplied (or pattern-generated) vertex
-triples as WQH cells.  Results are deterministic given the config; optional
-dedup drops identity switches and collapses specs by the canonical form of
-the switched graph (fingerprints above 500 vertices).
+triples as WQH cells.  Results are deterministic given the config.
+
+The optional dedup drops identity switches and keeps one spec per
+isomorphism class of mate, exactly at every size: automorphism orbits
+first, then lambda-profiles, and canonical forms only where profiles agree.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -21,7 +22,6 @@ from .canon import BudgetExhaustedError, automorphism_generators
 from .certify import canonical_form, lambda_profile, vertex_lambda_colors
 from .graphcore import Graph, dense_adjacency
 from .schemes import johnson_rank, mask_of_elements
-from .spectra import random_primes, signature
 from .switching import GmSpec, WqhSpec, apply_switching, spec_to_json_dict
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "johnson_core_triples",
     "johnson_block_triples",
 ]
-
-_DEDUP_CANONICAL_MAX_N = 500
 
 
 @dataclass(frozen=True)
@@ -63,17 +61,7 @@ class SearchResult:
         }
         if self.dedup_exact is not None:
             out["dedup_exact"] = self.dedup_exact
-            if not self.dedup_exact:
-                out["note"] = "fingerprint dedup; entries may still be duplicates"
         return out
-
-
-def _fingerprint(g: Graph) -> str:
-    sig = signature(g, random_primes(2, 0))
-    prof = lambda_profile(g)
-    h = hashlib.sha256()
-    h.update(repr((sig.coeffs, prof.edge, prof.nonedge)).encode())
-    return h.hexdigest()
 
 
 def _spec_key(spec) -> frozenset:
@@ -93,9 +81,9 @@ def _orbit_reps(g: Graph, keys: list) -> dict:
     automorphisms of g.
 
     An automorphism maps a valid spec to a valid spec with an isomorphic
-    mate, so one canonical form per orbit decides the whole orbit.  The
-    generators rarely span the full group; a too-fine orbit partition only
-    costs extra canonical forms, never a wrong merge.
+    mate, so one mate per orbit decides the whole orbit.  The generators
+    rarely span the full group; a too-fine orbit partition only costs extra
+    mates to compare, never a wrong merge.
     """
     rep = {k: k for k in keys}
     if len(keys) < 2:
@@ -126,9 +114,15 @@ def _orbit_reps(g: Graph, keys: list) -> dict:
     return rep
 
 
-def _dedup(g: Graph, specs: list) -> tuple[list, bool]:
-    """Drop identity switches; keep one spec per isomorphism class of mate."""
-    exact = g.n <= _DEDUP_CANONICAL_MAX_N
+def _dedup(g: Graph, specs: list, partial: bool) -> SearchResult:
+    """Drop identity switches; keep one spec per isomorphism class of mate.
+
+    Exact at every size, cheapest check first: one mate per automorphism
+    orbit of spec keys (a too-fine orbit partition only adds mates to
+    compare), then mates grouped by lambda-profile, since mates with
+    different profiles are not isomorphic, and canonical forms only once a
+    second mate joins a group.
+    """
     keys = []
     key_spec = {}
     for spec in specs:
@@ -136,24 +130,30 @@ def _dedup(g: Graph, specs: list) -> tuple[list, bool]:
         if k not in key_spec:
             key_spec[k] = spec
             keys.append(k)
-    rep = _orbit_reps(g, keys) if exact else {k: k for k in keys}
-    rep_class: dict = {}
-    seen = set()
+    rep = _orbit_reps(g, keys)
+    done = set()
+    groups: dict = {}  # lambda-profile -> [[mate, canonical form or None]]
     kept = []
     for k in keys:
         r = rep[k]
-        if r not in rep_class:
-            mate = apply_switching(g, key_spec[r])
-            if mate == g:
-                rep_class[r] = None
-            else:
-                rep_class[r] = canonical_form(mate) if exact else _fingerprint(mate)
-        cls = rep_class[r]
-        if cls is None or cls in seen:
+        if r in done:
             continue
-        seen.add(cls)
+        done.add(r)
+        mate = apply_switching(g, key_spec[r])
+        if mate == g:
+            continue
+        group = groups.setdefault(lambda_profile(mate), [])
+        form = None
+        if group:
+            first = group[0]
+            if first[1] is None:  # only a group's first mate waits for its form
+                first[1] = canonical_form(first[0])
+            form = canonical_form(mate)
+            if any(f == form for _, f in group):
+                continue
+        group.append([mate, form])
         kept.append(key_spec[k])
-    return kept, exact
+    return SearchResult(tuple(kept), partial, True)
 
 
 def search_gm4(g: Graph, cfg: SearchConfig) -> SearchResult:
@@ -188,10 +188,7 @@ def search_gm4(g: Graph, cfg: SearchConfig) -> SearchResult:
                 break
         if ok:
             specs.append(GmSpec([cell]))
-    if cfg.dedup:
-        kept, exact = _dedup(g, specs)
-        return SearchResult(tuple(kept), partial, exact)
-    return SearchResult(tuple(specs), partial, None)
+    return _dedup(g, specs, partial) if cfg.dedup else SearchResult(tuple(specs), partial)
 
 
 def search_wqh33(g: Graph, candidates1, candidates2, cfg: SearchConfig) -> SearchResult:
@@ -245,10 +242,7 @@ def search_wqh33(g: Graph, candidates1, candidates2, cfg: SearchConfig) -> Searc
         if take < m2:
             partial = True
             break
-    if cfg.dedup:
-        kept, exact = _dedup(g, specs)
-        return SearchResult(tuple(kept), partial, exact)
-    return SearchResult(tuple(specs), partial, None)
+    return _dedup(g, specs, partial) if cfg.dedup else SearchResult(tuple(specs), partial)
 
 
 def johnson_core_triples(n: int, k: int) -> list[tuple[int, int, int]]:

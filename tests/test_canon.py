@@ -224,7 +224,9 @@ def test_match_certificate_maps_onto_a_relabeling():
     for pos in range(g.n):
         iso[perm[pos]] = match[pos]
     assert g.relabel(iso) == h
-    assert match_certificate(Graph.from_edges(0, []), b"") == ()
+    empty = Graph.from_edges(0, [])
+    assert match_certificate(empty, canonical_labeling(empty)[0]) == ()
+    assert match_certificate(empty, b"") is None
 
 
 def test_match_certificate_rejects_a_header_without_search():

@@ -71,11 +71,6 @@ def test_lambda_profile_matches_pairwise_count():
     assert lambda_profile(Graph.from_edges(0, [])) == lambda_profile(Graph.from_edges(1, []))
 
 
-def test_lambda_profile_json():
-    d = lambda_profile(cycle(4)).to_json_dict()
-    assert d == {"edge": [[0, 4]], "nonedge": [[2, 2]]}
-
-
 def test_selective_count_matches_brute_force():
     for seed in range(10):
         g = random_graph(9, 0.5, seed)

@@ -6,6 +6,8 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
+from spectral_switch import search
+from spectral_switch.certify import lambda_profile
 from spectral_switch.families import recipe_j2n4, recipe_sporadic
 from spectral_switch.graphcore import Graph
 from spectral_switch.schemes import SchemeParams, build
@@ -17,7 +19,7 @@ from spectral_switch.search import (
     search_gm4,
     search_wqh33,
 )
-from spectral_switch.switching import apply_switching, validate
+from spectral_switch.switching import GmSpec, WqhSpec, apply_switching, validate
 
 from oracles import search_wqh33_reference
 
@@ -54,11 +56,11 @@ def test_gm4_dedup_collapses_orbit(k242):
     assert not res.partial
     assert res.dedup_exact is True
     assert len(res.specs) == 2
-    # the kept mates are genuinely different graphs
-    from spectral_switch.certify import canonical_form
-
+    # the kept mates are genuinely different graphs, with one lambda-profile:
+    # only their canonical forms tell them apart
     mates = [apply_switching(k242, s) for s in res.specs]
-    assert canonical_form(mates[0]) != canonical_form(mates[1])
+    assert lambda_profile(mates[0]) == lambda_profile(mates[1])
+    assert search.canonical_form(mates[0]) != search.canonical_form(mates[1])
     assert all(m != k242 for m in mates)
 
 
@@ -198,5 +200,52 @@ def test_search_result_json_shapes():
         "specs": [], "partial": False}
     d = SearchResult((), True, True).to_json_dict()
     assert d["partial"] and d["dedup_exact"] and "note" not in d
-    d = SearchResult((), False, False).to_json_dict()
-    assert "fingerprint" in d["note"]
+
+
+@pytest.fixture
+def form_calls(monkeypatch):
+    """Graphs passed to the dedup's canonical_form, one entry per call."""
+    calls = []
+
+    def counted(g, *args, _real=search.canonical_form):
+        calls.append(g)
+        return _real(g, *args)
+
+    monkeypatch.setattr(search, "canonical_form", counted)
+    return calls
+
+
+@pytest.mark.parametrize("scheme, pattern, kept, forms", [
+    # scheme, candidate pattern (None: gm4), kept specs, canonical forms
+    # computed (None: not frozen)
+    ("Jq{0}(4,2;q=2)", None, (GmSpec([(0, 1, 2, 3)]), GmSpec([(0, 1, 6, 7)])), 2),
+    ("J{2}(8,4)", johnson_core_triples, (WqhSpec((0, 1, 5), (12, 13, 14)),), None),
+    ("J{1}(11,4)", johnson_block_triples,
+     (WqhSpec((126, 145, 209), (210, 229, 293)),), 0),
+    # three mates, three lambda-profiles: no canonical form at all
+    ("J{1}(6,3)", None,
+     (GmSpec([(0, 1, 5, 7)]), GmSpec([(0, 1, 18, 19)]), GmSpec([(0, 7, 14, 18)])), 0),
+], ids=["gm4-K2(4,2)", "core-J2(8,4)", "blocks-J1(11,4)", "gm4-J1(6,3)"])
+def test_dedup_kept_specs_frozen(scheme, pattern, kept, forms, form_calls):
+    params = SchemeParams.parse(scheme)
+    g = build(params)
+    if pattern is None:
+        res = search_gm4(g, SearchConfig())
+    else:
+        cands = pattern(params.n, params.k)
+        res = search_wqh33(g, cands, cands, SearchConfig(mode="wqh33"))
+    assert res.specs == kept
+    assert res.dedup_exact is True and not res.partial
+    if forms is not None:
+        assert len(form_calls) == forms
+
+
+def test_dedup_exact_above_500_vertices():
+    """J_2(13,4) has 715 vertices; colex ranks do not depend on n, so the
+    core triples of J(7,4) are core triples of J(13,4), all in one orbit."""
+    g = build(SchemeParams.parse("J{2}(13,4)"))
+    assert g.n == 715
+    cands = johnson_core_triples(7, 4)
+    res = search_wqh33(g, cands, cands, SearchConfig(mode="wqh33"))
+    assert res.specs == (WqhSpec((0, 1, 5), (12, 13, 14)),)
+    assert res.dedup_exact is True and not res.partial
