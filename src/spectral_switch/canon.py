@@ -100,13 +100,6 @@ def _refine(adj, order, bnd, queue):
     return tuple(trace)
 
 
-def _cells(order, bnd):
-    """The partition as a list of vertex tuples."""
-    verts = order.tolist()
-    cuts = bnd.nonzero()[0].tolist() + [len(verts)]
-    return [tuple(verts[a:b]) for a, b in zip(cuts, cuts[1:])]
-
-
 def _refine_root(g: Graph, colors: Sequence[int] | None):
     """(adj, order, bnd, (color, size) signature, trace) of the refined
     initial coloring; adj is the n x n uint8 adjacency matrix."""

@@ -75,6 +75,17 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(EXIT_USAGE, message)
 
 
+def _prime_count(text: str) -> int:
+    """The --primes value: a count of at least one prime."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"need at least one prime, got {text!r}")
+    return count
+
+
 def _cap_from(args) -> int:
     if args.cap is not None:
         return args.cap
@@ -337,7 +348,7 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", required=True)
     p.add_argument("--spec", required=True)
     p.add_argument("--report", help="write the JSON report here as well")
-    p.add_argument("--primes", type=int, default=3)
+    p.add_argument("--primes", type=_prime_count, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                    help="canonical labeling node budget")
@@ -351,7 +362,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int)
     p.add_argument("--name", help="sporadic table entry name")
     p.add_argument("--report", help="write the JSON report here as well")
-    p.add_argument("--primes", type=int, default=3)
+    p.add_argument("--primes", type=_prime_count, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     _add_common(p)
@@ -374,7 +385,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("spectrum", help="charpoly signature, optional comparison")
     p.add_argument("--graph", required=True)
     p.add_argument("--compare", help="second graph to test cospectrality against")
-    p.add_argument("--primes", type=int, default=3)
+    p.add_argument("--primes", type=_prime_count, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eigenvalues", action="store_true",
                    help="include floating-point eigenvalues")

@@ -29,18 +29,17 @@ def _mask(vertices: Iterable[int]) -> int:
     return m
 
 
-def _packed_rows(g: "Graph") -> np.ndarray:
-    """The n x ceil(n/8) uint8 bit matrix of g's rows: bit u % 8 of byte
-    u // 8 in row v is set iff u ~ v."""
-    nbytes = (g.n + 7) // 8
-    buf = b"".join(row.to_bytes(nbytes, "little") for row in g.rows)
-    return np.frombuffer(buf, dtype=np.uint8).reshape(g.n, nbytes)
+def _unpacked_rows(rows: Sequence[int], n: int) -> np.ndarray:
+    """The len(rows) x n uint8 0/1 matrix with entry [i, u] = bit u of rows[i]."""
+    nbytes = (n + 7) // 8
+    buf = b"".join(row.to_bytes(nbytes, "little") for row in rows)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(packed, axis=1, bitorder="little", count=n)
 
 
 def dense_adjacency(g: "Graph", dtype=np.float64) -> np.ndarray:
     """The n x n 0/1 adjacency matrix of g, unpacked from its bit rows."""
-    bits = np.unpackbits(_packed_rows(g), axis=1, bitorder="little", count=g.n)
-    return bits.astype(dtype)
+    return _unpacked_rows(g.rows, g.n).astype(dtype)
 
 
 def _bit_rows(bits: np.ndarray) -> list[int]:

@@ -5,16 +5,17 @@ the cheap within-cell regularity condition before scanning outside vertices.
 wqh33 validates pairs of caller-supplied (or pattern-generated) vertex
 triples as WQH cells.  Results are deterministic given the config.
 
-The optional dedup drops identity switches and keeps one spec per
-isomorphism class of mate, exactly at every size: automorphism orbits
-first, then lambda-profiles, and canonical forms only where profiles agree.
+The optional dedup drops identity switches and keeps the first spec in scan
+order of each isomorphism class of mate, exactly at every size: automorphism
+orbits first (components of the spec keys joined by generator images), then
+lambda-profiles, and canonical forms only where profiles agree.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 
 import numpy as np
 
@@ -72,74 +73,61 @@ def _spec_key(spec) -> frozenset:
     return frozenset((frozenset(spec.c1), frozenset(spec.c2)))
 
 
-def _apply_perm_key(key: frozenset, perm) -> frozenset:
-    return frozenset(frozenset(perm[v] for v in cell) for cell in key)
+def _orbit_firsts(g: Graph, keys: list) -> list[bool]:
+    """For each spec key, whether it is the first in scan order of its orbit.
 
-
-def _orbit_reps(g: Graph, keys: list) -> dict:
-    """Map each spec key to its orbit representative under discovered
-    automorphisms of g.
-
-    An automorphism maps a valid spec to a valid spec with an isomorphic
-    mate, so one mate per orbit decides the whole orbit.  The generators
-    rarely span the full group; a too-fine orbit partition only costs extra
-    mates to compare, never a wrong merge.
+    An automorphism maps a valid spec to one with an isomorphic mate, so one
+    mate per orbit decides the orbit.  Orbits are the components of the
+    graph joining each key to its images under the discovered generators
+    that are keys: union-find rooted at the least index, stopped at one
+    component.  A component lies inside one group orbit; one too small (the
+    generators rarely span the group) only adds mates to compare.
     """
-    rep = {k: k for k in keys}
     if len(keys) < 2:
-        return rep
+        return [True] * len(keys)
     try:
         gens = automorphism_generators(g, colors=vertex_lambda_colors(g))
     except BudgetExhaustedError:
-        return rep
-    if not gens:
-        return rep
-    known = set(keys)
-    claimed: set = set()
-    for start in keys:
-        if start in claimed:
-            continue
-        claimed.add(start)
-        stack = [start]
-        seen = {start}
-        while stack:
-            k = stack.pop()
-            for p in gens:
-                img = _apply_perm_key(k, p)
-                if img in known and img not in seen:
-                    seen.add(img)
-                    claimed.add(img)
-                    rep[img] = start
-                    stack.append(img)
-    return rep
+        return [True] * len(keys)
+    index = {k: i for i, k in enumerate(keys)}
+    root = list(range(len(keys)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    left = len(keys)
+    for i, key in enumerate(keys):
+        if left == 1:
+            break
+        for p in gens:
+            j = index.get(frozenset(frozenset(p[v] for v in cell) for cell in key))
+            if j is not None:
+                a, b = sorted((find(i), find(j)))
+                if a != b:
+                    root[b] = a
+                    left -= 1
+    return [find(i) == i for i in range(len(keys))]
 
 
 def _dedup(g: Graph, specs: list, partial: bool) -> SearchResult:
-    """Drop identity switches; keep one spec per isomorphism class of mate.
+    """Drop identity switches; keep the first spec in scan order of each
+    isomorphism class of mate, exactly at every size.
 
-    Exact at every size, cheapest check first: one mate per automorphism
-    orbit of spec keys (a too-fine orbit partition only adds mates to
-    compare), then mates grouped by lambda-profile, since mates with
-    different profiles are not isomorphic, and canonical forms only once a
-    second mate joins a group.
+    Both scans emit each spec key once: search_gm4 takes each 4-subset once
+    from combinations, and search_wqh33 drops mirrored pairs in seen_pairs.
+    Cheapest check first: only the first spec of each orbit is switched,
+    mates are grouped by lambda-profile, since mates with different
+    profiles are not isomorphic, and canonical forms are computed only once
+    a second mate joins a group.
     """
-    keys = []
-    key_spec = {}
-    for spec in specs:
-        k = _spec_key(spec)
-        if k not in key_spec:
-            key_spec[k] = spec
-            keys.append(k)
-    rep = _orbit_reps(g, keys)
-    done = set()
+    firsts = _orbit_firsts(g, [_spec_key(spec) for spec in specs])
     groups: dict = {}  # lambda-profile -> [[mate, canonical form or None]]
     kept = []
-    for k in keys:
-        r = rep[k]
-        if r in done:
-            continue
-        done.add(r)
-        mate = apply_switching(g, key_spec[r])
+    for spec in compress(specs, firsts):
+        mate = apply_switching(g, spec)
         if mate == g:
             continue
         group = groups.setdefault(lambda_profile(mate), [])
@@ -152,7 +140,7 @@ def _dedup(g: Graph, specs: list, partial: bool) -> SearchResult:
             if any(f == form for _, f in group):
                 continue
         group.append([mate, form])
-        kept.append(key_spec[k])
+        kept.append(spec)
     return SearchResult(tuple(kept), partial, True)
 
 

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphcore import Graph, _mask, _packed_rows
+from .graphcore import Graph, _mask, _unpacked_rows
 
 __all__ = [
     "GmSpec",
@@ -321,12 +321,9 @@ def switching_certificate(g: Graph, mate: Graph, spec) -> bool:
     out = np.ones(n, dtype=bool)
     out[idx] = False
 
-    def cell_rows(h: Graph) -> np.ndarray:
-        """A[cells, :] for h's adjacency matrix A."""
-        rows = np.unpackbits(_packed_rows(h)[idx], axis=1, bitorder="little", count=n)
-        return rows.astype(np.int64)
-
-    r, rm = cell_rows(g), cell_rows(mate)
+    # R = A[cells, :] and R' = A'[cells, :]
+    r, rm = (_unpacked_rows([h.rows[v] for v in cells], n).astype(np.int64)
+             for h in (g, mate))
     starts = np.cumsum([0] + [len(p) for _, p, _ in blocks])
     slices = [slice(a, b) for a, b in zip(starts, starts[1:])]
     scales = np.repeat([s for _, _, s in blocks], np.diff(starts))

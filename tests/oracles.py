@@ -366,7 +366,7 @@ def switching_certificate_reference(g, mate, spec) -> bool:
     refused: the certificate before it read the cell rows only."""
     import numpy as np
 
-    from spectral_switch.graphcore import _mask, _packed_rows
+    from spectral_switch.graphcore import _mask, dense_adjacency
     from spectral_switch.switching import _check_spec_range, _switching_blocks
 
     blocks = _switching_blocks(spec)
@@ -386,13 +386,10 @@ def switching_certificate_reference(g, mate, spec) -> bool:
     idx = np.array(cells)
     out = np.ones(n, dtype=bool)
     out[idx] = False
-    shift = (idx & 7).astype(np.uint8)
 
     def lines(h):
-        packed = _packed_rows(h)
-        rows = np.unpackbits(packed[idx], axis=1, bitorder="little", count=n)
-        cols = (packed[:, idx >> 3] >> shift) & 1
-        return rows.astype(np.int64), cols.astype(np.int64)
+        a = dense_adjacency(h, np.int64)
+        return a[idx], a[:, idx]
 
     (ra, ca), (rm, cm) = lines(g), lines(mate)
     starts = np.cumsum([0] + [len(p) for _, p, _ in blocks])

@@ -172,6 +172,13 @@ def _kernel_graph(n, seed):
     return g, colors, rng
 
 
+def _cells(order, bnd):
+    """canon's array partition (order, cell-start mask) as a list of vertex tuples."""
+    verts = order.tolist()
+    cuts = bnd.nonzero()[0].tolist() + [len(verts)]
+    return [tuple(verts[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
 def _root_cells(g, colors):
     colors = colors or [0] * g.n
     return [tuple(v for v in range(g.n) if colors[v] == c) for c in sorted(set(colors))]
@@ -186,7 +193,7 @@ def test_refinement_matches_reference(seed):
     adj, order, bnd, _, trace = canon._refine_root(g, colors)
     cells = _root_cells(g, colors)
     cells, want = refine_reference(g.rows, cells, deque(_mask(c) for c in cells))
-    assert canon._cells(order, bnd) == cells
+    assert _cells(order, bnd) == cells
     assert trace == want
     for _ in range(8):
         big = [i for i, c in enumerate(cells) if len(c) > 1]
@@ -199,7 +206,7 @@ def test_refinement_matches_reference(seed):
                                                         s + len(cells[t]), v)
         cells[t:t + 1] = [(v,), tuple(u for u in cells[t] if u != v)]
         cells, want = refine_reference(g.rows, cells, deque([1 << v]))
-        assert canon._cells(order, bnd) == cells
+        assert _cells(order, bnd) == cells
         assert trace == (t,) + want
 
 

@@ -283,6 +283,19 @@ def test_search_nonpositive_budget_is_usage_error(capsys, flag):
     assert err == "error: budgets must be positive\n"
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("command", [
+    ("verify", "--graph", "J{2}(8,4)", "--spec", "spec.json"),
+    ("recipe", "j2n4", "--n", "8"),
+    ("spectrum", "--graph", "J{2}(8,4)"),
+], ids=["verify", "recipe", "spectrum"])
+def test_nonpositive_primes_is_usage_error(capsys, command, value):
+    code, out, err = run(capsys, *command, "--primes", value)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert f"error: argument --primes: need at least one prime, got '{value}'" in err
+
+
 def test_search_stopped_by_budget_is_inconclusive(capsys):
     code, out, err = run(capsys, "search", "--mode", "gm4",
                          "--graph", "Jq{0}(4,2;q=2)", "--limit", "100")

@@ -72,3 +72,57 @@ def test_unused_import_detection():
         "    return os.getcwd()\n"
     )
     assert unused_imports(src) == ["b (line 4)", "j (line 3)"]
+
+
+def _read_names(node: ast.AST) -> set[str]:
+    """Names a statement reads: bare names, attribute names and imported names."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(a.name for a in n.names)
+    return out
+
+
+def _defined_names(stmt: ast.stmt) -> set[str]:
+    """Names a module-level statement defines."""
+    if isinstance(stmt, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign | ast.AugAssign):
+        targets = [stmt.target]
+    else:
+        return set()
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level names starting with _ (dunders aside) that no statement
+    of the given modules reads, other than their own definition."""
+    statements = [(path, stmt) for path, text in sources.items()
+                  for stmt in ast.parse(text).body]
+    reads = [_read_names(stmt) for _, stmt in statements]
+    return [f"{path}: {name}"
+            for i, (path, stmt) in enumerate(statements)
+            for name in sorted(_defined_names(stmt))
+            if name.startswith("_") and not name.endswith("__")
+            and not any(name in r for j, r in enumerate(reads) if j != i)]
+
+
+def test_no_test_only_private_names_in_src():
+    """A private helper of src/ that only tests call belongs in the tests."""
+    sources = {f: (ROOT / f).read_text() for f in FILES if f.startswith("src")}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_unreferenced_private_name_detection():
+    sources = {
+        "a.py": ("_used = 1\n_lonely, _x = 2, 3\n__all__ = []\n"
+                 "def _rec(n):\n    return _rec(n - 1) + _x\n"),
+        "b.py": "from a import _used\nprint(_used)\n",
+    }
+    assert unreferenced_private_names(sources) == ["a.py: _lonely", "a.py: _rec"]

@@ -249,3 +249,40 @@ def test_dedup_exact_above_500_vertices():
     res = search_wqh33(g, cands, cands, SearchConfig(mode="wqh33"))
     assert res.specs == (WqhSpec((0, 1, 5), (12, 13, 14)),)
     assert res.dedup_exact is True and not res.partial
+
+
+def test_dedup_matches_brute_force_reference():
+    """Every raw spec switched, identity switches skipped, and the first spec
+    in scan order kept for each canonical form of its mate."""
+    g = build(SchemeParams.parse("J{1}(6,3)"))
+    raw = search_gm4(g, SearchConfig(dedup=False)).specs
+    assert len(raw) == 165
+    firsts = {}
+    for spec in raw:
+        mate = apply_switching(g, spec)
+        if mate != g:
+            firsts.setdefault(search.canonical_form(mate), spec)
+    assert tuple(firsts.values()) == search_gm4(g, SearchConfig()).specs
+
+
+def _cycles(n, *cycles):
+    """The permutation of range(n) with the given cycles."""
+    perm = list(range(n))
+    for cycle in cycles:
+        for v, w in zip(cycle, cycle[1:] + cycle[:1]):
+            perm[v] = w
+    return tuple(perm)
+
+
+def test_orbits_are_components_of_generator_images(monkeypatch):
+    """Keys a, b, c: one generator maps a to c and another b to c, and no
+    generator maps a key back.  One orbit, whose first key is a; an image
+    that is not a key joins nothing."""
+    a, b, c = (frozenset([frozenset(cell)]) for cell in ((0, 1), (2, 3), (4, 5)))
+    gens = [_cycles(10, (0, 4, 6), (1, 5, 7)), _cycles(10, (2, 4, 8), (3, 5, 9))]
+    monkeypatch.setattr(search, "automorphism_generators", lambda g, colors: gens)
+    g = Graph(10, [0] * 10)
+    assert search._orbit_firsts(g, [a, b, c]) == [True, False, False]
+    assert search._orbit_firsts(g, [c, b, a]) == [True, False, False]
+    # without c, a and b reach only themselves and images outside the keys
+    assert search._orbit_firsts(g, [a, b]) == [True, True]

@@ -1,11 +1,12 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from spectral_switch.families import recipe_j2n4, recipe_qkneser
+from spectral_switch.families import recipe_halfrange_2kk, recipe_j2n4, recipe_qkneser
 from spectral_switch.graphcore import Graph
 from spectral_switch.schemes import build
 from spectral_switch.spectra import charpoly_mod_p, cospectral
@@ -262,6 +263,22 @@ def test_certificate_exact_with_coprime_cell_sizes(complete):
     g = Graph(n, [full ^ (1 << v) if complete else 0 for v in range(n)])
     mate = apply_switching(g, spec)
     assert switching_certificate(g, mate, spec)
+
+
+def test_certificate_reads_only_the_cell_rows():
+    """One certificate call on halfrange(7) (n = 3432, 16 cell vertices)
+    peaks below 2.5 MiB: it packs the cell rows, not all n rows of each
+    graph (n * ceil(n/8) bytes, 1.4 MiB per graph)."""
+    r = recipe_halfrange_2kk(7)
+    g = build(r.params)
+    mate = apply_switching(g, r.spec)
+    tracemalloc.start()
+    try:
+        assert switching_certificate(g, mate, r.spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
 
 
 def test_certificate_range_checks_spec(petersen):
