@@ -43,6 +43,7 @@ from .search import (
 )
 from .spectra import (
     CharpolySizeError,
+    _cospectral,
     cospectral,
     eigenvalues_float,
     random_primes,
@@ -299,19 +300,21 @@ def cmd_spectrum(args) -> int:
     cap = _cap_from(args)
     g = _load_graph(args.graph, cap)
     primes = random_primes(args.primes, args.seed)
+    sig = signature(g, primes)
     out = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "kind": "spectrum",
         "seed": args.seed,
         "num_primes": args.primes,
-        "signature": signature(g, primes).to_json_dict(),
+        "signature": sig.to_json_dict(),
     }
     if args.eigenvalues:
         out["eigenvalues_float"] = eigenvalues_float(g)
     if args.compare:
         other = _load_graph(args.compare, cap)
-        out["cospectral"] = cospectral(g, other, num_primes=args.primes,
-                                       seed=args.seed).to_json_dict()
+        # g's charpolys are in the signature already
+        out["cospectral"] = _cospectral(g, other, primes, args.seed,
+                                        coeffs1=sig.coeffs).to_json_dict()
     _emit_report(out, args.report)
     return EXIT_OK
 

@@ -51,7 +51,7 @@ __all__ = [
     "REPORT_SCHEMA_VERSION",
 ]
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 
 class RecipeStageError(RuntimeError):

@@ -1,13 +1,32 @@
-"""Cospectrality: switching certificates and charpolys modulo 31-bit primes.
+"""Cospectrality: switching certificates, minimal polynomials, and
+charpolys modulo 31-bit primes.
 
-When the caller holds the switching spec that relates a pair, cospectral
-first checks Q^T A Q = A' exactly for the spec's switching matrix Q
-(switching.switching_certificate); if that holds, "cospectral" is a proof
-and no charpoly is computed.  Any other pair is decided by comparing
-det(xI - A) over F_p for primes drawn deterministically from a seed, one
-prime at a time.  The first disagreement is a certain "not cospectral";
-agreement at every prime is one-sided Monte Carlo with the error bound
-reported in the verdict.
+cospectral tries three methods, cheapest first.  With the switching spec
+that relates a pair, it checks Q^T A Q = A' exactly for the spec's switching
+matrix Q (switching.switching_certificate); if that holds, "cospectral" is a
+proof and nothing else is computed.
+
+Otherwise, for graphs on n <= MAX_CHARPOLY_N vertices, it looks for a
+polynomial p(x) = (x - t_1) ... (x - t_r) with distinct integer roots that
+annihilates both adjacency matrices.  A symmetric matrix with p(A) = 0 has
+its spectrum in {t_i}, and the multiplicities m_i solve
+sum_i m_i P_j(t_i) = tr P_j(A) for j < r, where P_j = (x - t_1) ... (x - t_j):
+a triangular system whose diagonal P_j(t_(j+1)) is nonzero because the t_i
+are distinct (Brouwer and Haemers, Spectra of Graphs, 2012).  So p(A2) != 0
+proves the graphs not cospectral, and p(A2) = 0 with equal traces proves them
+cospectral.  The roots are only a hint, read from a Lanczos run on A1: every
+Johnson and Grassmann scheme graph has at most k + 1 distinct eigenvalues,
+all integers, and its switched mates share them.  The check itself is exact:
+P_j(A) is applied to blocks of identity columns in float64, and before each
+product the entry bound max|Y| (max degree + |t|) < 2^53 is checked, so
+every partial sum is an integer float64 holds.  A hint that does not
+annihilate A1, more than _MAX_ROOTS roots, or a tripped bound sends the
+pair on to the charpoly.
+
+The charpoly test compares det(xI - A) over F_p for primes drawn
+deterministically from a seed, one prime at a time.  The first disagreement
+is a certain "not cospectral"; agreement at every prime is one-sided Monte
+Carlo with the error bound reported in the verdict.
 
 Per prime, A is reduced to upper Hessenberg form by a Gaussian similarity
 over F_p, then the division-free leading-principal-minor recurrence reads
@@ -64,6 +83,9 @@ _MAX_INNER = 2048  # inner dimension per product: 2048 such terms stay below 2^5
 _SHIFTS = np.array([0, 11, 22])
 _WEIGHTS = np.array([1.0, _LIMB, _LIMB**2])
 _SCALES = np.array([1, 1 << 11, 1 << 22])
+_MAX_ROOTS = 12  # most distinct eigenvalues the minimal-polynomial path tries
+_EXACT = 2.0**53  # float64 holds every integer of smaller magnitude
+_EXACT_COLS = 64  # identity columns per block of the minimal-polynomial check
 
 
 class CharpolySizeError(ValueError):
@@ -347,7 +369,8 @@ class CospectralVerdict:
     primes_used: tuple[int, ...]
     first_disagreeing_coefficient: tuple[int, int] | None
     error_bound: float | None
-    method: str = "charpoly"  # "switching": an exact certificate; "charpoly": primes
+    # "switching" or "minimal-polynomial": exact; "charpoly": primes
+    method: str = "charpoly"
 
     def to_json_dict(self) -> dict:
         out = {
@@ -390,32 +413,129 @@ def _equal_error_bound(n: int, num_primes: int) -> float:
     return min(1.0, bound)
 
 
+def _eigenvalue_hint(a: np.ndarray, seed: int) -> tuple[int, ...] | None:
+    """Candidate distinct eigenvalues of the symmetric 0/1 matrix a, ascending
+    integers, or None if Lanczos meets more than _MAX_ROOTS or one that is not
+    within 1e-6 of an integer.
+
+    Lanczos with full reorthogonalisation, from a start vector drawn by
+    random.Random(seed): the Krylov space of a matrix with r distinct
+    eigenvalues has dimension at most r, so the residual vanishes after at
+    most r products, and the projected matrix has the eigenvalues the start
+    vector meets.  Only the exact check decides, so a wrong hint costs
+    time, never a verdict.
+    """
+    n = a.shape[0]
+    rng = random.Random(seed)
+    q = np.array([rng.random() - 0.5 for _ in range(n)])
+    basis = np.empty((_MAX_ROOTS, n))
+    images = np.empty_like(basis)
+    for k in range(_MAX_ROOTS):
+        basis[k] = q / np.linalg.norm(q)
+        images[k] = a @ basis[k]
+        q = images[k]
+        for _ in range(2):  # twice is enough (Kahan-Parlett)
+            q = q - basis[:k + 1].T @ (basis[:k + 1] @ q)
+        if np.linalg.norm(q) <= 1e-9 * n:
+            h = basis[:k + 1] @ images[:k + 1].T
+            ritz = np.linalg.eigvalsh((h + h.T) / 2)
+            roots = np.rint(ritz)
+            if np.abs(ritz - roots).max() > 1e-6:
+                return None
+            return tuple(sorted({int(t) for t in roots}))
+    return None
+
+
+def _annihilated_traces(a: np.ndarray, roots: tuple[int, ...]) -> tuple[int, ...] | None:
+    """(tr P_0(A), ..., tr P_(r-1)(A)) with P_j = (A - t_0 I) ... (A - t_(j-1) I)
+    over the r roots, if P_r(A) = 0; () if P_r(A) != 0; None if a product
+    could leave float64's exact integers.
+
+    P_j(A) meets one block of identity columns at a time, so memory stays at
+    a plus a few n x _EXACT_COLS blocks; the first factor is a column slice.
+    With entries of Y at most m and max degree d, every partial sum of
+    A Y - t Y is an integer below m (d + |t|), so while that bound stays under
+    2^53 every product is exact in any summation order.  The first nonzero
+    block of P_r(A) ends the check.
+    """
+    n = a.shape[0]
+    degree = float(a.sum(axis=1).max())
+    traces = [0] * len(roots)
+    for s in range(0, n, _EXACT_COLS):
+        cols = np.arange(min(_EXACT_COLS, n - s))
+        diag = (s + cols, cols)
+        traces[0] += cols.size
+        y = a[:, s:s + cols.size].copy()
+        y[diag] -= roots[0]
+        for j, t in enumerate(roots[1:], 1):
+            traces[j] += int(y[diag].astype(np.int64).sum())
+            if np.abs(y).max() * (degree + abs(t)) >= _EXACT:
+                return None
+            y = a @ y - t * y
+        if y.any():
+            return ()
+    return tuple(traces)
+
+
+def _minimal_polynomial_verdict(g1: Graph, g2: Graph, seed: int) -> CospectralVerdict | None:
+    """An exact verdict from a polynomial with distinct integer roots that
+    annihilates g1's adjacency matrix, or None if no such polynomial was
+    found or a product could be inexact."""
+    a = dense_adjacency(g1)
+    roots = _eigenvalue_hint(a, seed)
+    if roots is None:
+        return None
+    t1 = _annihilated_traces(a, roots)
+    if not t1:
+        return None
+    del a
+    t2 = _annihilated_traces(dense_adjacency(g2), roots)
+    if t2 is None:
+        return None
+    equal = t1 == t2
+    return CospectralVerdict(equal, (), None, 0.0 if equal else None, "minimal-polynomial")
+
+
 def cospectral(g1: Graph, g2: Graph, num_primes: int = 3, seed: int = 0,
                spec=None) -> CospectralVerdict:
     """Decide whether g1 and g2 are cospectral.
 
     With a switching spec whose matrix Q satisfies Q^T A1 Q = A2
     (switching.switching_certificate), "equal" is a proof: method
-    "switching", no primes, error bound 0.  Otherwise, or with no spec, the
-    one-sided Monte Carlo charpoly test runs (method "charpoly"): "not
-    equal" is certain and "equal" holds up to the reported error bound.
-    Primes are tried one at a time and the test stops at the first that
-    separates the graphs.  Graphs on different vertex counts are never
-    cospectral.
+    "switching", no primes, error bound 0.  Otherwise, graphs on different
+    vertex counts are never cospectral.  Then, on at most MAX_CHARPOLY_N
+    vertices, a polynomial with distinct integer roots that annihilates A1
+    decides the pair exactly (method "minimal-polynomial", no primes, error
+    bound 0 when equal).  Failing that, the one-sided Monte Carlo charpoly
+    test runs (method "charpoly"): "not equal" is certain and "equal" holds
+    up to the reported error bound.  Primes are tried one at a time and the
+    test stops at the first that separates the graphs.
     """
     if num_primes < 1:
         raise ValueError("need at least one prime")
+    return _cospectral(g1, g2, random_primes(num_primes, seed), seed, spec)
+
+
+def _cospectral(g1: Graph, g2: Graph, primes: tuple[int, ...], seed: int, spec=None,
+                coeffs1: tuple[tuple[int, ...], ...] | None = None) -> CospectralVerdict:
+    """cospectral at the given primes; coeffs1, if given, holds g1's
+    charpolys at those primes (a signature's coeffs), so none is computed
+    twice."""
     if spec is not None and switching_certificate(g1, g2, spec):
         return CospectralVerdict(True, (), None, 0.0, "switching")
     if g1.n != g2.n:
         return CospectralVerdict(False, (), None, None)
-    primes = random_primes(num_primes, seed)
+    if 0 < g1.n <= MAX_CHARPOLY_N:
+        verdict = _minimal_polynomial_verdict(g1, g2, seed)
+        if verdict is not None:
+            return verdict
     for k, p in enumerate(primes):
-        c1, c2 = charpoly_mod_p(g1, p), charpoly_mod_p(g2, p)
+        c1 = coeffs1[k] if coeffs1 is not None else charpoly_mod_p(g1, p)
+        c2 = charpoly_mod_p(g2, p)
         if c1 != c2:
             idx = next(i for i, (a, b) in enumerate(zip(c1, c2)) if a != b)
             return CospectralVerdict(False, primes[:k + 1], (p, idx), None)
-    return CospectralVerdict(True, primes, None, _equal_error_bound(g1.n, num_primes))
+    return CospectralVerdict(True, primes, None, _equal_error_bound(g1.n, len(primes)))
 
 
 def eigenvalues_float(g: Graph) -> list[float]:

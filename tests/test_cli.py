@@ -8,7 +8,7 @@ import pytest
 
 from spectral_switch import cli
 from spectral_switch.families import recipe_j2n4
-from spectral_switch.graphcore import decode_graph6, Graph
+from spectral_switch.graphcore import decode_graph6, encode_graph6, Graph
 from spectral_switch.schemes import SchemeParams, build
 from spectral_switch.switching import apply_switching, spec_to_json_dict
 
@@ -343,3 +343,37 @@ def test_spectrum_signature_and_compare(tmp_path, capsys):
     assert len(doc["eigenvalues_float"]) == 10
     assert max(doc["eigenvalues_float"]) == pytest.approx(3.0)
     assert doc["cospectral"]["equal"] is True
+    assert doc["cospectral"]["method"] == "minimal-polynomial"
+    assert doc["cospectral"]["error_bound"] == 0
+
+
+@pytest.mark.parametrize("other_edges,equal", [
+    ([(3, 1), (1, 0), (0, 2)], True),  # P4 relabeled: agrees at every prime
+    ([(0, 1), (1, 2), (2, 3), (3, 0)], False),  # C4: separated at the first
+])
+def test_spectrum_compare_computes_each_charpoly_once(tmp_path, capsys, monkeypatch,
+                                                       other_edges, equal):
+    from spectral_switch import spectra
+
+    p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])  # irrational spectrum
+    other = Graph.from_edges(4, other_edges)
+    paths = []
+    for name, g in (("p4.g6", p4), ("other.g6", other)):
+        paths.append(tmp_path / name)
+        paths[-1].write_bytes(encode_graph6(g) + b"\n")
+    calls = []
+    real = spectra.charpoly_mod_p
+    monkeypatch.setattr(spectra, "charpoly_mod_p",
+                        lambda g, p: calls.append((g.rows, p)) or real(g, p))
+    code, out, _ = run(capsys, "spectrum", "--graph", str(paths[0]),
+                       "--compare", str(paths[1]))
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["cospectral"]["method"] == "charpoly"
+    assert doc["cospectral"]["equal"] is equal
+    primes = tuple(doc["signature"]["primes"])
+    used = tuple(doc["cospectral"]["primes_used"])
+    assert used == (primes if equal else primes[:1])
+    assert sorted(calls) == sorted([(p4.rows, p) for p in primes]
+                                   + [(other.rows, p) for p in used])

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -126,3 +129,31 @@ def test_unreferenced_private_name_detection():
         "b.py": "from a import _used\nprint(_used)\n",
     }
     assert unreferenced_private_names(sources) == ["a.py: _lonely", "a.py: _rec"]
+
+
+# Imports numpy, then the CLI, decides a pair with no spec, and prints the
+# numpy modules that appeared after `import numpy`.
+_NUMPY_PROBE = """
+import sys
+import numpy
+before = set(sys.modules)
+from spectral_switch import cli, spectra
+from spectral_switch.graphcore import Graph
+c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+v = spectra.cospectral(Graph.from_edges(4, [(0, 1), (2, 3)]), Graph.from_edges(4, [(0, 2), (1, 3)]))
+assert v.method == "minimal-polynomial" and v.equal, v
+v = spectra.cospectral(c5, c5.relabel([2, 0, 4, 1, 3]))
+assert v.method == "charpoly" and v.equal, v
+print(sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "numpy"))
+"""
+
+
+def test_cli_and_cospectral_load_no_further_numpy_module():
+    """numpy.random alone adds about 6 MiB to a process, so the eigenvalue
+    hint draws its start vector from the standard library."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _NUMPY_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spectral_switch import spectra
-from spectral_switch.graphcore import Graph
+from spectral_switch.graphcore import Graph, dense_adjacency
 from spectral_switch.spectra import (
     charpoly_mod_p,
     cospectral,
@@ -13,6 +13,7 @@ from spectral_switch.spectra import (
     is_probable_prime,
     random_primes,
 )
+from spectral_switch.switching import GmSpec, apply_switching, validate
 
 from oracles import charpoly_exact, det_mod_p, triangle_count_brute
 
@@ -98,8 +99,9 @@ def test_cospectral_saltire_pair():
 
 
 def test_cospectral_detects_difference():
-    a = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    b = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    # P4 first: its spectrum is irrational, so the charpoly decides
+    a = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    b = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     v = cospectral(a, b)
     assert not v.equal
     assert v.first_disagreeing_coefficient is not None
@@ -189,8 +191,8 @@ def test_cospectral_stops_at_first_disagreeing_prime(monkeypatch):
         return real(g, p)
 
     monkeypatch.setattr(spectra, "charpoly_mod_p", counting)
-    a = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    b = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    a = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    b = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     primes = random_primes(3, seed=0)
     v = cospectral(a, b, num_primes=3, seed=0)
     assert not v.equal
@@ -201,7 +203,7 @@ def test_cospectral_stops_at_first_disagreeing_prime(monkeypatch):
 
 def test_cospectral_reports_primes_through_the_disagreeing_one(monkeypatch):
     primes = random_primes(4, seed=0)
-    a, b = Graph.from_edges(2, []), Graph.from_edges(2, [(0, 1)])
+    a, b = Graph.from_edges(3, [(0, 1), (1, 2)]), Graph.from_edges(3, [(0, 1)])
     # the two graphs agree at the first prime only
     monkeypatch.setattr(spectra, "charpoly_mod_p",
                         lambda g, p: (1, 0, 0) if g is a or p == primes[0] else (1, 0, 1))
@@ -238,3 +240,164 @@ def test_charpoly_size_limit_has_its_own_error(monkeypatch):
     monkeypatch.setattr(spectra, "MAX_CHARPOLY_N", 3)
     with pytest.raises(spectra.CharpolySizeError, match="limit of 3"):
         charpoly_mod_p(Graph.from_edges(4, []), random_primes(1, seed=0)[0])
+
+
+def _union(*graphs):
+    """Disjoint union, vertices numbered graph by graph."""
+    edges, off = [], 0
+    for g in graphs:
+        edges += [(u + off, v + off) for u in range(g.n) for v in range(u + 1, g.n)
+                  if g.has_edge(u, v)]
+        off += g.n
+    return Graph.from_edges(off, edges)
+
+
+def _nx(g):
+    return Graph.from_edges(g.number_of_nodes(), list(g.edges()))
+
+
+def _gm_mate_pair(rng, n):
+    """A random graph with {0, 1, 2, 3} made a GM cell (a perfect matching
+    inside; 0, 2 or 4 cell neighbours outside, vertex 4 with 2), and its
+    switched mate."""
+    rows = [[0] * n for _ in range(n)]
+    for u in range(4, n):
+        for v in range(u + 1, n):
+            rows[u][v] = rows[v][u] = rng.randrange(2)
+    for u, v in ((0, 1), (2, 3)):
+        rows[u][v] = rows[v][u] = 1
+    for v in range(4, n):
+        cell = rng.sample(range(4), 2 if v == 4 else rng.choice([0, 2, 4]))
+        for u in cell:
+            rows[u][v] = rows[v][u] = 1
+    g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                             if rows[u][v]])
+    spec = GmSpec([[0, 1, 2, 3]])
+    assert validate(g, spec).valid
+    return g, apply_switching(g, spec)
+
+
+def _integral_graphs():
+    """Small graphs with integral spectra, several on each vertex count, and
+    pairs of them that share an annihilating polynomial but not a spectrum."""
+    k = lambda m: _nx(nx.complete_graph(m))
+    e = lambda m: Graph.from_edges(m, [])
+    yield from (k(4), _nx(nx.cycle_graph(4)), _union(k(2), k(2)), _union(k(2), e(2)),
+                _union(k(3), e(1)), _nx(nx.star_graph(3)))
+    yield from (_nx(nx.star_graph(4)), _union(_nx(nx.cycle_graph(4)), e(1)),
+                _union(k(2), k(2), e(1)), _union(k(3), k(2)), k(5))
+    yield from (_nx(nx.cycle_graph(6)), _nx(nx.complete_bipartite_graph(3, 3)),
+                _union(k(3), k(3)), _union(_nx(nx.cycle_graph(4)), k(2)), k(6))
+    yield from (_nx(nx.convert_node_labels_to_integers(nx.hypercube_graph(3))),
+                _union(k(4), k(4)), _nx(nx.complete_bipartite_graph(2, 6)))
+    petersen = _nx(nx.petersen_graph())
+    yield from (petersen, petersen.complement(), _union(k(5), k(5)))
+
+
+def _toggle(g, u, v):
+    rows = list(g.rows)
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+    return Graph(g.n, rows)
+
+
+def _shuffled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return g.relabel(perm)
+
+
+def test_minimal_polynomial_verdicts_match_exact_charpolys():
+    """On graphs with integral spectra, random graphs, their relabelings and
+    GM-switched mates, cospectral agrees with equality of exact charpolys."""
+    rng = random.Random(11)
+    graphs = list(_integral_graphs())
+    for _ in range(12):
+        n = rng.randrange(5, 12)
+        graphs.append(_nx(nx.gnp_random_graph(n, rng.uniform(0.2, 0.8),
+                                              seed=rng.randrange(10**6))))
+    pairs = []
+    for g in graphs:
+        pairs.append((g, _shuffled(g, rng.random())))
+        pairs += [(g, h) for h in graphs if h is not g and h.n == g.n]
+    for n in (6, 8, 10):
+        pairs.append(_gm_mate_pair(rng, n))
+    seen = {}
+    for a, b in pairs:
+        v = cospectral(a, b)
+        want = charpoly_exact(a) == charpoly_exact(b)
+        assert v.equal == want, (a.rows, b.rows, v)
+        if v.method == "minimal-polynomial":
+            assert v.primes_used == () and v.error_bound == (0.0 if want else None)
+        seen.setdefault(v.method, set()).add(want)
+    assert seen == {"minimal-polynomial": {True, False}, "charpoly": {True, False}}
+
+
+def test_minimal_polynomial_separates_equal_roots_by_traces():
+    """K2 + 2K1 and 2K2 are both annihilated by (x + 1) x (x - 1): only the
+    traces tell them apart, and the saltire pair C4 + K1 and K_{1,4} agree."""
+    e = Graph.from_edges
+    v = cospectral(e(4, [(0, 1)]), e(4, [(0, 1), (2, 3)]))
+    assert v.method == "minimal-polynomial" and v.equal is False
+    v = cospectral(e(5, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+                   e(5, [(0, 1), (0, 2), (0, 3), (0, 4)]))
+    assert v.method == "minimal-polynomial" and v.equal is True
+
+
+def test_gm_mate_of_a_non_scheme_graph_takes_the_charpoly():
+    rng = random.Random(3)
+    g, mate = _gm_mate_pair(rng, 12)
+    ev = eigenvalues_float(g)
+    assert any(abs(x - round(x)) > 1e-3 for x in ev)  # not an integral spectrum
+    v = cospectral(g, mate)
+    assert v.method == "charpoly" and v.equal
+    assert charpoly_exact(g) == charpoly_exact(mate)
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda roots: roots[:-1],  # a root missing: annihilates neither graph
+    lambda roots: roots[:1] + (roots[0] + 1,) + roots[1:],  # a root too many: still exact
+])
+def test_wrong_hint_keeps_the_verdict(monkeypatch, petersen, wrong):
+    real = spectra._eigenvalue_hint
+    monkeypatch.setattr(spectra, "_eigenvalue_hint", lambda a, seed: wrong(real(a, seed)))
+    roots = real(dense_adjacency(petersen), 0)
+    method = "charpoly" if len(wrong(roots)) < len(roots) else "minimal-polynomial"
+    for other, want in ((_shuffled(petersen, 4), True), (_toggle(petersen, 0, 1), False)):
+        v = cospectral(petersen, other)
+        assert v.equal is want and v.method == method
+
+
+def test_exact_range_guard_falls_back_to_the_charpoly(monkeypatch, petersen):
+    e = Graph.from_edges
+    pairs = [(petersen, _shuffled(petersen, 5), True),
+             (e(4, [(0, 1)]), e(4, [(0, 1), (2, 3)]), False)]
+    for a, b, want in pairs:
+        assert cospectral(a, b).method == "minimal-polynomial"
+    # every product bound is at least 1
+    monkeypatch.setattr(spectra, "_EXACT", 1.0)
+    for a, b, want in pairs:
+        v = cospectral(a, b)
+        assert v.method == "charpoly" and v.equal is want
+
+
+def test_hint_cap_falls_back_to_the_charpoly(monkeypatch, petersen):
+    monkeypatch.setattr(spectra, "_MAX_ROOTS", 2)  # the Petersen graph has 3
+    assert spectra._eigenvalue_hint(dense_adjacency(petersen), 0) is None
+    v = cospectral(petersen, petersen)
+    assert v.method == "charpoly" and v.equal
+
+
+def test_corpus_pairs_proved_by_minimal_polynomial(corpus_reports):
+    """Every recipe's original against a relabeled mate, with no spec: the
+    exact path, never the charpoly."""
+    for name, rep in corpus_reports.items():
+        v = cospectral(rep.graph, _shuffled(rep.mate, name))
+        assert v.equal and v.method == "minimal-polynomial", name
+        assert v.error_bound == 0 and v.primes_used == (), name
+
+
+def test_minimal_polynomial_keeps_charpoly_size_limit(monkeypatch, petersen):
+    monkeypatch.setattr(spectra, "MAX_CHARPOLY_N", 9)
+    with pytest.raises(spectra.CharpolySizeError):
+        cospectral(petersen, petersen)
