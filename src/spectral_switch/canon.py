@@ -17,6 +17,21 @@ stops at the first such leaf.  This is the isomorphism-test mode of
 McKay and Piperno, "Practical graph isomorphism, II" (J. Symbolic Comput.
 60, 2014).
 
+All three searches run on the twin quotient.  Open twins share their
+neighborhood, closed twins their neighborhood plus themselves; refinement
+never splits twins, so a graph with many twin pairs would be searched one
+pair per level.  Twin classes of one color are label-invariant, so, as
+with any such reduction, the search may run on the quotient: one vertex
+per class, adjacent where the members are, colored by the rank of
+(color, class size, twin kind).  The quotient is reduced again until it
+has no twins, so a cograph collapses to one vertex.  The certificate is
+prefixed, per reduction, with n and the sorted table of those triples, so
+a rank cannot hide a class size or kind; a graph without twins keeps the
+certificate and labeling of the plain search.  Results lift class by
+class: a labeling expands each class in place, members ascending, and an
+automorphism maps the i-th member of a class to the i-th member of its
+image; a transposition of each consecutive pair of members joins them.
+
 The search counts individualization nodes against a budget and raises
 BudgetExhaustedError instead of ever returning a wrong answer.
 
@@ -32,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphcore import Graph, dense_adjacency, encode_graph6
+from .graphcore import Graph, _bit_rows, dense_adjacency, encode_graph6
 
 __all__ = [
     "BudgetExhaustedError",
@@ -105,8 +120,6 @@ def _refine_root(g: Graph, colors: Sequence[int] | None):
     initial coloring; adj is the n x n uint8 adjacency matrix."""
     if colors is None:
         colors = [0] * g.n
-    elif len(colors) != g.n:
-        raise ValueError("need one color per vertex")
     buckets: dict[int, list[int]] = {}
     for v in range(g.n):
         buckets.setdefault(colors[v], []).append(v)
@@ -249,11 +262,107 @@ def _header(g: Graph, init_sig, root_trace) -> bytes:
     return repr((g.n, init_sig, root_trace)).encode() + b"|"
 
 
+def _twin_classes(g: Graph, colors):
+    """The twin classes of the colored graph g, as (members, kind) pairs in
+    order of least member, members ascending; None if no class has two
+    vertices.
+
+    Open twins (kind 1) share their neighborhood, closed twins (kind 2)
+    their neighborhood plus themselves, and twins share a color; a lone
+    vertex has kind 0.  No vertex v has twins of both kinds: an open twin u
+    is not adjacent to v and a closed twin w is, so w lies in N(v) = N(u),
+    and then u lies in N[w] = N[v], adjacent to v after all.
+    """
+    rows = g.rows
+    open_: dict = {}
+    closed: dict = {}
+    for v, (row, c) in enumerate(zip(rows, colors)):
+        open_.setdefault((row, c), []).append(v)
+        closed.setdefault((row | 1 << v, c), []).append(v)
+    if len(open_) == g.n and len(closed) == g.n:
+        return None
+    classes = []
+    for v, (row, c) in enumerate(zip(rows, colors)):
+        members, kind = open_[row, c], 1
+        if len(members) == 1:
+            members = closed[row | 1 << v, c]
+            kind = 2 if len(members) > 1 else 0
+        if members[0] == v:
+            classes.append((members, kind))
+    return classes
+
+
+def _twin_quotient(g: Graph, colors):
+    """(quotient, its colors, certificate prefix, class lists) of g reduced
+    by twins until it has none; the class lists come one per reduction,
+    outermost first, each indexed by quotient vertex.
+
+    A quotient vertex is one twin class, adjacent where its members are,
+    colored by the rank of (color, class size, twin kind).  Each reduction
+    appends n and the sorted table of those triples to the prefix, so
+    equal certificates mean equal class sizes and kinds, not just ranks.
+    """
+    if colors is None:
+        colors = [0] * g.n
+    elif len(colors) != g.n:
+        raise ValueError("need one color per vertex")
+    prefix = b""
+    levels = []
+    while (found := _twin_classes(g, colors)) is not None:
+        triples = [(colors[m[0]], len(m), kind) for m, kind in found]
+        table = sorted(set(triples))
+        prefix += repr((g.n, table)).encode() + b"|"
+        rank = {t: i for i, t in enumerate(table)}
+        colors = [rank[t] for t in triples]
+        reps = [m[0] for m, _ in found]
+        sub = dense_adjacency(g, bool)[np.ix_(reps, reps)]
+        g = Graph(len(reps), _bit_rows(sub), validate=False)
+        levels.append([m for m, _ in found])
+    return g, colors, prefix, levels
+
+
+def _lift_order(levels, order) -> tuple:
+    """A quotient's position order with each class expanded in place."""
+    for classes in reversed(levels):
+        order = [v for q in order for v in classes[q]]
+    return tuple(order)
+
+
+def _lift_gens(levels, gens) -> list:
+    """Quotient automorphisms lifted class by class (the i-th member to the
+    i-th member of the image class), plus one transposition per consecutive
+    pair of members of each class."""
+    for classes in reversed(levels):
+        n = sum(map(len, classes))
+        lifted = []
+        for gamma in gens:
+            image = [0] * n
+            for members, target in zip(classes, gamma):
+                for v, w in zip(members, classes[target]):
+                    image[v] = w
+            lifted.append(image)
+        for members in classes:
+            for v, w in zip(members, members[1:]):
+                swap = list(range(n))
+                swap[v], swap[w] = w, v
+                lifted.append(swap)
+        gens = lifted
+    return gens
+
+
+def _prepare(g: Graph, colors):
+    """(adj, order, bnd, certificate header, class lists) of g's twin
+    quotient, refined at the root."""
+    q, qcolors, prefix, levels = _twin_quotient(g, colors)
+    adj, order, bnd, init_sig, root_trace = _refine_root(q, qcolors)
+    return adj, order, bnd, prefix + _header(q, init_sig, root_trace), levels
+
+
 def _run_search(g: Graph, budget: int, colors):
-    adj, order, bnd, init_sig, root_trace = _refine_root(g, colors)
+    adj, order, bnd, header, levels = _prepare(g, colors)
     search = _Search(adj, budget)
     search.dfs(order, bnd, 0)
-    return search, _header(g, init_sig, root_trace)
+    return search, header, levels
 
 
 def canonical_labeling(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
@@ -264,43 +373,45 @@ def canonical_labeling(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
     holds vertex perm[i].  Isomorphic graphs with isomorphic colorings get
     equal certificates.  Raises BudgetExhaustedError past the node budget.
     """
-    search, header = _run_search(g, budget, colors)
-    return header + search.best_cert, tuple(search.best_order.tolist())
+    search, header, levels = _run_search(g, budget, colors)
+    return header + search.best_cert, _lift_order(levels, search.best_order.tolist())
 
 
 def match_certificate(g: Graph, cert: bytes, budget: int = DEFAULT_NODE_BUDGET,
                       colors: Sequence[int] | None = None):
     """A labeling of g whose certificate equals cert, or None if g has none.
 
-    cert is another graph's canonical_labeling certificate.  A root header
-    (n, color signature, root trace) unlike cert's settles None with no
-    search.  Otherwise g is searched with canonical_labeling's pruning and
-    the search stops at the first leaf whose certificate equals cert's; the
-    permutation lists vertices in position order, as canonical_labeling's
-    does, so position by position it maps the other graph onto g.  None
-    after a full search means the certificates differ.  Raises
-    BudgetExhaustedError past the node budget.
+    cert is another graph's canonical_labeling certificate.  A header
+    (twin tables, then the quotient's n, color signature and root trace)
+    unlike cert's settles None with no search.  Otherwise g's twin quotient
+    is searched with canonical_labeling's pruning and the search stops at
+    the first leaf whose certificate equals cert's; the permutation lists
+    vertices in position order, as canonical_labeling's does, so position
+    by position it maps the other graph onto g.  None after a full search
+    means the certificates differ.  Raises BudgetExhaustedError past the
+    node budget.
     """
-    adj, order, bnd, init_sig, root_trace = _refine_root(g, colors)
-    header = _header(g, init_sig, root_trace)
+    adj, order, bnd, header, levels = _prepare(g, colors)
     if not cert.startswith(header):
         return None
     search = _Search(adj, budget, cert[len(header):])
     if not search.dfs(order, bnd, 0):
         return None
-    return tuple(search.best_order.tolist())
+    return _lift_order(levels, search.best_order.tolist())
 
 
 def automorphism_generators(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
                             colors: Sequence[int] | None = None):
     """Automorphisms discovered as a side effect of the canonical search.
 
-    Each returned tuple maps vertex to image and is a verified automorphism
-    (two leaves of the search produced identical relabeled adjacency).  The
-    list usually does not generate the full automorphism group.
+    Each returned tuple maps vertex to image and is a verified automorphism:
+    two leaves of the quotient search produced identical relabeled
+    adjacency, lifted class by class, or a swap of two twins.  The list
+    usually does not generate the full automorphism group, but its twin
+    swaps generate every permutation inside each twin class.
     """
-    search, _ = _run_search(g, budget, colors)
-    return [tuple(gamma) for gamma in search.gens.tolist()]
+    search, _, levels = _run_search(g, budget, colors)
+    return [tuple(gamma) for gamma in _lift_gens(levels, search.gens.tolist())]
 
 
 def canonical_form(g: Graph, budget: int = DEFAULT_NODE_BUDGET,

@@ -81,7 +81,11 @@ def _orbit_firsts(g: Graph, keys: list) -> list[bool]:
     graph joining each key to its images under the discovered generators
     that are keys: union-find rooted at the least index, stopped at one
     component.  A component lies inside one group orbit; one too small (the
-    generators rarely span the group) only adds mates to compare.
+    generators rarely span the group) only adds mates to compare.  Besides
+    the search's own, the generators hold a transposition of each
+    consecutive pair of twins (a k-set and its complement in J_2(2k, k)),
+    which the search of the twin quotient no longer spends its generator
+    cap on.
     """
     if len(keys) < 2:
         return [True] * len(keys)

@@ -1,10 +1,12 @@
 import random
 from collections import deque
-from itertools import combinations
+from itertools import accumulate, combinations, product
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spectral_switch import canon
 from spectral_switch.canon import (
@@ -253,3 +255,154 @@ def test_match_certificate_none_after_full_search():
     two_c3 = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     cert, _ = canonical_labeling(c6)
     assert match_certificate(two_c3, cert) is None
+
+
+# -- graphs with twins ------------------------------------------------------
+
+def _blow_up(g, sizes, cliques):
+    """Vertex v of g becomes sizes[v] twins: a clique where cliques[v],
+    else an independent set, joined to every twin of each neighbour of v."""
+    first = list(accumulate([0] + list(sizes)))
+    block = [range(first[v], first[v + 1]) for v in range(g.n)]
+    edges = [e for v in range(g.n) if cliques[v] for e in combinations(block[v], 2)]
+    edges += [e for u, v in g.edges() for e in product(block[u], block[v])]
+    return Graph.from_edges(first[-1], edges)
+
+
+def _union(a, b, join):
+    """Disjoint union of a and b, with every edge between them if join."""
+    edges = list(a.edges()) + [(a.n + u, a.n + v) for u, v in b.edges()]
+    if join:
+        edges += [(u, a.n + v) for u in range(a.n) for v in range(b.n)]
+    return Graph.from_edges(a.n + b.n, edges)
+
+
+def _twin_free(g):
+    """No two vertices share their open or their closed neighbourhood."""
+    return (len(set(g.rows)) == g.n
+            and len({row | 1 << v for v, row in enumerate(g.rows)}) == g.n)
+
+
+def _graph_of_bits(n, bits):
+    """The graph on n vertices whose i-th vertex pair is an edge iff bit i
+    of bits is set."""
+    pairs = combinations(range(n), 2)
+    return Graph.from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
+_base_graphs = st.integers(1, 7).flatmap(lambda n: st.builds(
+    _graph_of_bits, st.just(n), st.integers(0, 2 ** (n * (n - 1) // 2) - 1)))
+
+
+@st.composite
+def _planted(draw, g):
+    """g blown up with random class sizes and kinds."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=g.n, max_size=g.n))
+    cliques = draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    return _blow_up(g, sizes, cliques)
+
+
+# cographs collapse to one vertex through nested twin classes of both kinds
+_cographs = st.recursive(
+    st.just(Graph.from_edges(1, [])),
+    lambda sub: st.builds(_union, sub, sub, st.booleans()),
+    max_leaves=12)
+
+_twin_graphs = st.one_of(
+    _base_graphs.flatmap(_planted),
+    _base_graphs.flatmap(_planted).flatmap(_planted),  # nested classes
+    _cographs)
+
+
+@st.composite
+def _colored_relabeled(draw):
+    """(g, colors or None, h, colors of h) with h a relabeling of g."""
+    g = draw(_twin_graphs)
+    colors = draw(st.none() | st.lists(st.integers(0, 1), min_size=g.n,
+                                        max_size=g.n))
+    perm = draw(st.permutations(range(g.n)))
+    hcolors = None
+    if colors is not None:
+        hcolors = [0] * g.n
+        for v, p in enumerate(perm):
+            hcolors[p] = colors[v]
+    return g, colors, g.relabel(perm), hcolors
+
+
+def _joined(swaps, u, v):
+    """Whether the transpositions in swaps connect u to v."""
+    reach, frontier = {u}, [u]
+    while frontier:
+        x = frontier.pop()
+        for s in swaps:
+            if x in s:
+                for y in s - reach:
+                    reach.add(y)
+                    frontier.append(y)
+    return v in reach
+
+
+@settings(max_examples=150, deadline=None)
+@given(_colored_relabeled())
+def test_twin_generators_are_colored_automorphisms(case):
+    g, colors, _, _ = case
+    colors = colors or [0] * g.n
+    gens = automorphism_generators(g, colors=colors)
+    assert len(set(gens)) == len(gens)
+    for p in gens:
+        assert sorted(p) == list(range(g.n)) and p != tuple(range(g.n))
+        assert g.relabel(p).rows == g.rows
+        assert [colors[p[v]] for v in range(g.n)] == colors
+    # the returned transpositions join every pair of twins
+    swaps = {frozenset(v for v in range(g.n) if p[v] != v)
+             for p in gens if sum(p[v] != v for v in range(g.n)) == 2}
+    for u, v in combinations(range(g.n), 2):
+        twins = (colors[u] == colors[v]
+                 and (g.rows[u] ^ g.rows[v]) & ~(1 << u | 1 << v) == 0)
+        if twins:
+            assert _joined(swaps, u, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_colored_relabeled())
+def test_twin_canonical_form_is_label_invariant(case):
+    g, colors, h, hcolors = case
+    assert canonical_form(h, colors=hcolors) == canonical_form(g, colors=colors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_colored_relabeled())
+def test_twin_match_certificate_maps_graph_one_onto_graph_two(case):
+    g, colors, h, hcolors = case
+    cert, perm = canonical_labeling(g, colors=colors)
+    assert sorted(perm) == list(range(g.n))
+    match = match_certificate(h, cert, colors=hcolors)
+    iso = [0] * g.n
+    for pos in range(g.n):
+        iso[perm[pos]] = match[pos]
+    assert g.relabel(iso).rows == h.rows
+    if colors is not None:
+        assert all(hcolors[iso[v]] == colors[v] for v in range(g.n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_base_graphs.filter(_twin_free), st.data())
+def test_twin_sizes_and_kinds_reach_the_certificate(base, data):
+    """Blow-ups of one twin-free graph with equal vertex counts whose twin
+    quotients have equal ranks, so equal quotient certificates, but other
+    class sizes or kinds: never isomorphic, as the largest class or the
+    edge count differs."""
+    n = base.n
+    small = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    s = sum(small)
+    assume(0 < s < n)
+    # sizes 1 < n + 2 against 1 + n - s < n + 2 - s: s + (n - s)(n + 2) vertices
+    sized = [_blow_up(base, [a if x else b for x in small], [False] * n)
+             for a, b in ((1, n + 2), (1 + n - s, n + 2 - s))]
+    kinds = [_blow_up(base, [2] * n, [clique] * n) for clique in (False, True)]
+    for a, b in (sized, kinds):
+        assert a.n == b.n
+        cert = canonical_labeling(a)[0]
+        assert cert != canonical_labeling(b)[0]
+        assert match_certificate(b, cert) is None
+

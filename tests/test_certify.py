@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from spectral_switch import certify
+from spectral_switch import canon, certify
 from spectral_switch.certify import (
     LADDER_LEVELS,
     NonIsoVerdict,
@@ -287,7 +287,7 @@ def test_vertex_lambda_colors_match_reference():
 # j2n4(8), so their rows cover those two as well.
 GOLDEN_FORMS = {
     ("j2n4(n=8)", "original"): "b938de129ea6fdd6aaa1aacaf1349bb60f7b88bb8a948f689633956c29d7ac2b",
-    ("j2n4(n=8)", "mate"): "85c4584e80e93c3a3cc4ec336ba1825a1c455be123e55fc66732aa2986dd0768",
+    ("j2n4(n=8)", "mate"): "cb5fe68c0dbe2b81284b1b57e22bb64c28f52e1c7fb3144e6aa5c16f588446f6",
     ("halfrange(k=5)", "original"): "f4c8dcf0e7f382e43c4adf99cedb064d19f6c4123e758a703bc85bfbb81fa86e",
     ("halfrange(k=5)", "mate"): "c558faf4e3de8b1386fb0559c38f1d4554d555591643f1b73e8fc5995c705b46",
     ("qkneser(n=4,k=2)", "original"): "bb8c3d5d06c9bc69fc5d25e6896524e083dde8724d10777b8c1818da75199b7f",
@@ -338,3 +338,46 @@ def test_budget_exhaustion_in_graph_two(corpus_reports):
     v = nonisomorphic(g1, g2, budget=100)
     assert v == NonIsoVerdict(False, "canonical-form", None, node_budget_exhausted=True)
     assert nonisomorphic(g1, g2).witness == "canonical certificates differ"
+
+
+def test_twin_quotient_proves_the_j24_12_6_mate_isomorphic(corpus_reports):
+    """The J24-12-6 mate has 462 pairs of open twins, a 6-set and its
+    complement.  Its 462-vertex twin quotient matches a relabeling within
+    a budget of 1000 nodes; searched whole, it exhausted the default
+    budget of 200000."""
+    mate = corpus_reports["sporadic(J24-12-6)"].mate
+    assert len(set(mate.rows)) == mate.n // 2
+    perm = list(range(mate.n))
+    random.Random(7).shuffle(perm)
+    other = mate.relabel(perm)
+    v = nonisomorphic(mate, other, budget=1000)
+    assert not v.distinguished and not v.node_budget_exhausted
+    assert v.level == "canonical-form"
+    assert mate.relabel(v.isomorphism).rows == other.rows
+
+
+def test_twins_call_canon_through_module_attributes_as_before(corpus_reports,
+                                                               monkeypatch):
+    """Reducing by twins inside canon calls no public canon function through
+    its module attribute: canon.canonical_form still makes one
+    canon.canonical_labeling call, and nonisomorphic goes through
+    certify's own names only."""
+    calls = []
+    for module, name in ((canon, "canonical_labeling"),
+                         (canon, "automorphism_generators"),
+                         (certify, "canonical_labeling")):
+        def counted(*args, _real=getattr(module, name),
+                    _tag=f"{module.__name__.rsplit('.', 1)[1]}.{name}", **kwargs):
+            calls.append(_tag)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    mate = corpus_reports["j2n4(n=8)"].mate
+    assert len(set(mate.rows)) < mate.n
+    canonical_form(mate)
+    assert calls == ["canon.canonical_labeling"]
+    calls.clear()
+    perm = list(range(mate.n))
+    random.Random(5).shuffle(perm)
+    v = nonisomorphic(mate, mate.relabel(perm))
+    assert v.isomorphism is not None
+    assert calls == ["certify.canonical_labeling"]

@@ -6,7 +6,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from spectral_switch import search
+from spectral_switch import canon, search
 from spectral_switch.certify import lambda_profile
 from spectral_switch.families import recipe_j2n4, recipe_sporadic
 from spectral_switch.graphcore import Graph
@@ -286,3 +286,30 @@ def test_orbits_are_components_of_generator_images(monkeypatch):
     assert search._orbit_firsts(g, [c, b, a]) == [True, False, False]
     # without c, a and b reach only themselves and images outside the keys
     assert search._orbit_firsts(g, [a, b]) == [True, True]
+
+
+def test_j2_8_4_core_dedup_searches_the_twin_quotient(j284, monkeypatch):
+    """J_2(8,4) has 35 pairs of open twins, a 4-set and its complement.
+    The dedup's generators hold every twin swap, and the search of the
+    35-vertex quotient stays below the generator cap; the dedup still keeps
+    one spec, exactly."""
+    seen = []
+
+    def recorded(g, colors, _real=search.automorphism_generators):
+        seen.append(_real(g, colors=colors))
+        return seen[-1]
+
+    monkeypatch.setattr(search, "automorphism_generators", recorded)
+    cands = johnson_core_triples(8, 4)
+    res = search_wqh33(j284, cands, cands, SearchConfig(mode="wqh33"))
+    assert len(res.specs) == 1 and res.dedup_exact is True and not res.partial
+    [gens] = seen
+    pairs = {frozenset(v for v in range(j284.n) if j284.rows[v] == row)
+             for row in j284.rows}
+    assert len(pairs) == 35 and all(len(p) == 2 for p in pairs)
+    swaps = {frozenset(v for v in range(j284.n) if p[v] != v) for p in gens
+             if sum(p[v] != v for v in range(j284.n)) == 2}
+    assert pairs <= swaps
+    assert len(gens) - len(pairs) < canon._MAX_GENS
+    for p in gens:
+        assert j284.relabel(p).rows == j284.rows
