@@ -26,6 +26,7 @@ from .schemes import (
     DEFAULT_VERTEX_CAP,
     SchemeParams,
     enumerate_vertices,
+    grassmann_rank,
     johnson_rank,
     mask_of_elements,
 )
@@ -49,6 +50,8 @@ __all__ = [
     "all_recipes",
     "run_recipe",
     "REPORT_SCHEMA_VERSION",
+    # re-exported: perfbench's tracer wraps families.enumerate_vertices
+    "enumerate_vertices",
 ]
 
 REPORT_SCHEMA_VERSION = 3
@@ -288,10 +291,12 @@ def recipe_qkneser(n: int, k: int) -> Recipe:
         tau_gens = [_e(n, i) for i in range(k + 2, 2 * k + 1)]
     # every generator list below is independent: distinct standard basis
     # vectors, or e1+e2 and e1+e3 with no other e1, e2 or e3
-    index = {v.basis: i for i, v in enumerate(enumerate_vertices(params))}
-    spec = GmSpec([[index[_f2_space(n, [x, y] + pi_gens)]
+    def index(gens):
+        return grassmann_rank(_f2_space(n, gens).rows, 2)
+
+    spec = GmSpec([[index([x, y] + pi_gens)
                     for x, y in ((p1, p2), (p1, p3), (p2, p3), (p4, p5))]])
-    a, b_, c = (index[_f2_space(n, [x] + tau_gens)] for x in (p1, p2, p4))
+    a, b_, c = (index([x] + tau_gens) for x in (p1, p2, p4))
     witness = SelectiveTriple(a, b_, c)
     return Recipe(f"qkneser(n={n},k={k})", params, spec, (witness,),
                   "four k-spaces pairwise meeting in dimension k-1")

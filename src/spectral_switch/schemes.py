@@ -38,6 +38,7 @@ __all__ = [
     "build",
     "degree_formula",
     "johnson_rank",
+    "grassmann_rank",
     "mask_of_elements",
     "elements_of_mask",
 ]
@@ -266,6 +267,24 @@ def johnson_rank(mask: int) -> int:
         r += binom(low.bit_length() - 1, i)
         mask ^= low
     return r
+
+
+def grassmann_rank(basis, q: int) -> int:
+    """Index of a k-space in the canonical vertex order, from the k >= 1
+    rows of its RREF basis over F_q: q^|free| for each earlier pivot tuple
+    (the k-spaces with those pivots), plus the free entries read row-major
+    as a base-q number."""
+    n = len(basis[0])
+    pivots = tuple(next(j for j, e in enumerate(row) if e) for row in basis)
+    offset = 0
+    for earlier in combinations(range(n), len(pivots)):
+        if earlier == pivots:
+            break
+        offset += q ** len(_rref_free_positions(earlier, n))
+    r = 0
+    for i, j in _rref_free_positions(pivots, n):
+        r = r * q + basis[i][j]
+    return offset + r
 
 
 def _popcount(x):

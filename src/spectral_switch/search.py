@@ -80,12 +80,13 @@ def _orbit_firsts(g: Graph, keys: list) -> list[bool]:
     mate per orbit decides the orbit.  Orbits are the components of the
     graph joining each key to its images under the discovered generators
     that are keys: union-find rooted at the least index, stopped at one
-    component.  A component lies inside one group orbit; one too small (the
-    generators rarely span the group) only adds mates to compare.  Besides
-    the search's own, the generators hold a transposition of each
-    consecutive pair of twins (a k-set and its complement in J_2(2k, k)),
-    which the search of the twin quotient no longer spends its generator
-    cap on.
+    component.  A component lies inside one group orbit; one too small
+    only adds mates to compare.  The canonical search backjumps, so it
+    returns a few generators of a large group (7 on K_2(4,2), 10 on
+    J_1(11,4)), plus a transposition of each consecutive pair of twins (a
+    k-set and its complement in J_2(2k, k)).  Where the keys are not closed
+    under the group, fewer generators join fewer keys: the J_2(8,4) core
+    job's 280 keys leave 8 components, so 8 mates are switched.
     """
     if len(keys) < 2:
         return [True] * len(keys)

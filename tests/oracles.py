@@ -4,11 +4,16 @@ Everything here is deliberately written against different algorithms than
 the package: exact Faddeev-LeVerrier or a plain determinant mod p instead of
 Hessenberg mod p, vector-set closure instead of RREF enumeration, itertools
 set counting instead of bitmask rows.  Slow and simple on purpose.  The
-*_reference functions are the package's earlier versions of a function,
-kept as the reference that its replacement must equal.
+*_reference functions and SearchReference are the package's earlier
+versions of a function, kept as the reference that its replacement must
+equal.
 """
 
 from itertools import combinations
+
+import numpy as np
+
+from spectral_switch import canon
 
 
 def charpoly_exact(g):
@@ -433,3 +438,111 @@ def scan_triple_property_reference(g) -> bool:
                 if count(g, u, v, w) == 1 or count(g, v, u, w) == 1 or count(g, w, u, v) == 1:
                     return True
     return False
+
+
+class SearchReference:
+    """canon's depth-first individualization-refinement as it was before
+    backjumping: a leaf equivalent to the best leaf adds a generator, and
+    the search carries on through the rest of its subtree.  The same
+    refinement, leaf certificates, trace pruning and orbit pruning."""
+
+    def __init__(self, adj, budget, target=None):
+        self.adj = adj
+        self.n = n = len(adj)
+        self.upper = np.arange(n)[:, None] < np.arange(n)
+        self.budget = budget
+        self.target = target
+        self.nodes = 0
+        self.best_traces = []
+        self.best_cert = None
+        self.best_order = None
+        self.gens = np.zeros((0, n), dtype=np.intp)
+        self.path = []
+
+    def _orbits(self):
+        lab = np.arange(self.n)
+        gens = self.gens
+        if self.path:
+            gens = gens[(gens[:, self.path] == self.path).all(axis=1)]
+        while len(gens):
+            new = np.minimum(lab, lab[gens].min(axis=0))
+            new = new[new]
+            if (new == lab).all():
+                break
+            lab = new
+        return lab.tolist()
+
+    def dfs(self, order, bnd, depth):
+        n = self.n
+        starts = bnd.nonzero()[0]
+        if len(starts) == n:
+            cert = canon._leaf_cert(self.adj, order, self.upper)
+            if cert == self.target:
+                self.best_cert, self.best_order = cert, order
+                return True
+            if self.best_cert is None or cert < self.best_cert:
+                self.best_cert, self.best_order = cert, order
+            elif cert == self.best_cert and len(self.gens) < canon._MAX_GENS:
+                gamma = np.empty(n, dtype=np.intp)
+                gamma[self.best_order] = order
+                if ((gamma != np.arange(n)).any()
+                        and not (self.gens == gamma).all(axis=1).any()):
+                    self.gens = np.vstack([self.gens, gamma])
+            return False
+        bounds = np.append(starts, n)
+        sizes = bounds[1:] - starts
+        target = int(np.where(sizes > 1, sizes, n + 1).argmin())
+        s = int(starts[target])
+        e = s + int(sizes[target])
+        explored = []
+        seen_gens = -1
+        for v in order[s:e].tolist():
+            if explored:
+                if len(self.gens) != seen_gens:
+                    orbit = self._orbits()
+                    seen_gens = len(self.gens)
+                    done = {orbit[w] for w in explored}
+                if orbit[v] in done:
+                    continue
+                done.add(orbit[v])
+            explored.append(v)
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise canon.BudgetExhaustedError(self.budget)
+            child, child_bnd, tr = canon._individualize_refine(self.adj, order, bnd,
+                                                               target, s, e, v)
+            d = depth + 1
+            if len(self.best_traces) >= d:
+                known = self.best_traces[d - 1]
+                if tr > known:
+                    continue
+                if tr < known:
+                    del self.best_traces[d - 1:]
+                    self.best_traces.append(tr)
+                    self.best_cert = None
+                    self.best_order = None
+            else:
+                self.best_traces.append(tr)
+            self.path.append(v)
+            found = self.dfs(child, child_bnd, d)
+            self.path.pop()
+            if found:
+                return True
+        return False
+
+
+def canon_reference(g, colors=None, target=None, budget=canon.DEFAULT_NODE_BUDGET):
+    """(certificate or None, labeling or None, generators) of g by
+    SearchReference on canon's twin quotient, lifted as canon lifts them.
+    With a target certificate the search stops at the first leaf that has
+    it; the certificate and labeling are None when no leaf has it."""
+    adj, order, bnd, header, levels = canon._prepare(g, colors)
+    if target is not None and not target.startswith(header):
+        return None, None, []
+    search = SearchReference(adj, budget, target and target[len(header):])
+    found = search.dfs(order, bnd, 0)
+    gens = [tuple(p) for p in canon._lift_gens(levels, search.gens.tolist())]
+    if target is not None and not found:
+        return None, None, gens
+    return (header + search.best_cert,
+            canon._lift_order(levels, search.best_order.tolist()), gens)

@@ -17,9 +17,15 @@ from spectral_switch.canon import (
     match_certificate,
     wl1_histogram,
 )
-from spectral_switch.graphcore import Graph, _mask
+from spectral_switch.graphcore import Graph, _mask, encode_graph6
+from spectral_switch.schemes import SchemeParams, build
 
-from oracles import leaf_cert_reference, refine_reference, wl1_equivalent_reference
+from oracles import (
+    canon_reference,
+    leaf_cert_reference,
+    refine_reference,
+    wl1_equivalent_reference,
+)
 
 
 def _random_relabel(g, rng):
@@ -406,3 +412,102 @@ def test_twin_sizes_and_kinds_reach_the_certificate(base, data):
         assert cert != canonical_labeling(b)[0]
         assert match_certificate(b, cert) is None
 
+
+# -- backjumping against the search without it ------------------------------
+
+def _circulant(n, jumps):
+    return Graph.from_edges(n, [(v, (v + j) % n) for v in range(n) for j in jumps])
+
+
+def _copies(g, k):
+    """k disjoint copies of g."""
+    return Graph.from_edges(g.n * k, [(i * g.n + u, i * g.n + v)
+                                      for i in range(k) for u, v in g.edges()])
+
+
+def _nx_graph(ng):
+    return Graph.from_edges(ng.number_of_nodes(), list(ng.edges()))
+
+
+def _latin_square_graph(square):
+    """Cells of a Latin square, adjacent when they share a row, a column or
+    a symbol: strongly regular, so refinement leaves deep search trees
+    whose leaves are not all equivalent."""
+    m = len(square)
+    cells = [(r, c, square[r][c]) for r in range(m) for c in range(m)]
+    return Graph.from_edges(m * m, [
+        (i, j) for (i, a), (j, b) in combinations(enumerate(cells), 2)
+        if any(x == y for x, y in zip(a, b))])
+
+
+REFERENCE_GRAPHS = {
+    **{f"gnp{seed}": (lambda seed=seed: _nx_graph(nx.gnp_random_graph(
+        10 + 5 * seed, 0.15 + 0.1 * seed, seed=seed))) for seed in range(4)},
+    **{f"regular{seed}": (lambda seed=seed: _nx_graph(nx.random_regular_graph(
+        3 + seed % 2, 12 + 6 * seed, seed=seed))) for seed in range(4)},
+    **{f"twins{seed}": (lambda seed=seed: _blow_up(
+        _nx_graph(nx.gnp_random_graph(7, 0.4, seed=seed)),
+        [1 + (seed + v) % 3 for v in range(7)], [v % 2 == 0 for v in range(7)]))
+       for seed in range(3)},
+    "circulant12": lambda: _circulant(12, (1, 5)),
+    "circulant21": lambda: _circulant(21, (1, 3, 8)),
+    "3-petersen": lambda: _copies(_nx_graph(nx.petersen_graph()), 3),
+    "latin5": lambda: _latin_square_graph(
+        [[0, 1, 3, 4, 2], [2, 0, 1, 3, 4], [4, 3, 2, 1, 0], [3, 4, 0, 2, 1],
+         [1, 2, 4, 0, 3]]),
+    "latin6": lambda: _latin_square_graph(
+        [[3, 2, 1, 5, 0, 4], [1, 5, 2, 3, 4, 0], [4, 1, 3, 0, 5, 2],
+         [2, 4, 0, 1, 3, 5], [5, 0, 4, 2, 1, 3], [0, 3, 5, 4, 2, 1]]),
+    "J(7,3)": lambda: build(SchemeParams.parse("J{2}(7,3)")),
+    "J2(8,4)": lambda: build(SchemeParams.parse("J{2}(8,4)")),
+    "K2(4,2)": lambda: build(SchemeParams.parse("Jq{0}(4,2;q=2)")),
+}
+
+
+def _orbit_labels(n, gens):
+    """Each vertex's least orbit mate under the generators, by union-find."""
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for p in gens:
+        for v in range(n):
+            a, b = sorted((find(v), find(p[v])))
+            root[b] = a
+    return [find(v) for v in range(n)]
+
+
+@pytest.mark.parametrize("colored", (False, True), ids=("plain", "colored"))
+@pytest.mark.parametrize("name", REFERENCE_GRAPHS)
+def test_backjumping_search_matches_the_reference(name, colored):
+    """Labelings, forms and matches equal the search without backjumping
+    byte for byte, and the generators have the same vertex orbits.  The
+    colored runs set vertex 0 and its neighbours apart, which keeps part of
+    the symmetry."""
+    g = REFERENCE_GRAPHS[name]()
+    colors = None
+    if colored:
+        colors = [2 if v == 0 else g.rows[0] >> v & 1 for v in range(g.n)]
+    cert, perm, gens = canon_reference(g, colors)
+    assert canonical_labeling(g, colors=colors) == (cert, perm)
+    inv = [0] * g.n
+    for pos, v in enumerate(perm):
+        inv[v] = pos
+    assert canonical_form(g, colors=colors) == encode_graph6(g.relabel(inv))
+    assert (_orbit_labels(g.n, automorphism_generators(g, colors=colors))
+            == _orbit_labels(g.n, gens))
+    shuffle = list(range(g.n))
+    random.Random(g.n).shuffle(shuffle)
+    h = g.relabel(shuffle)
+    hcolors = None
+    if colors is not None:
+        hcolors = [0] * g.n
+        for v, w in enumerate(shuffle):
+            hcolors[w] = colors[v]
+    match = match_certificate(h, cert, colors=hcolors)
+    assert match is not None
+    assert match == canon_reference(h, hcolors, target=cert)[1]

@@ -18,6 +18,7 @@ from spectral_switch.schemes import (
     count_vertices,
     degree_formula,
     enumerate_vertices,
+    grassmann_rank,
     johnson_rank,
     mask_of_elements,
 )
@@ -99,6 +100,12 @@ def test_subspace_enumeration():
         assert v.basis.nrows == 2
     line1 = verts[0]
     assert isinstance(line1, SubspaceVertex)
+
+
+@pytest.mark.parametrize("n, k, q", [(4, 2, 2), (5, 2, 2), (6, 3, 2), (4, 2, 3)])
+def test_grassmann_rank_is_the_enumeration_index(n, k, q):
+    verts = enumerate_vertices(SchemeParams.grassmann(n, k, {0}, q))
+    assert [grassmann_rank(v.basis.rows, q) for v in verts] == list(range(len(verts)))
 
 
 def test_subspace_bases_distinct_across_q():

@@ -313,3 +313,37 @@ def test_j2_8_4_core_dedup_searches_the_twin_quotient(j284, monkeypatch):
     assert len(gens) - len(pairs) < canon._MAX_GENS
     for p in gens:
         assert j284.relabel(p).rows == j284.rows
+
+
+@pytest.mark.parametrize("scheme, pattern, kept", [
+    ("Jq{0}(4,2;q=2)", None, 2),
+    ("J{2}(8,4)", johnson_core_triples, 1),
+    ("J{1}(11,4)", johnson_block_triples, 1),
+], ids=["gm4-K2(4,2)", "core-J2(8,4)", "blocks-J1(11,4)"])
+def test_bench_search_jobs_stop_short_of_the_generator_cap(scheme, pattern, kept,
+                                                           monkeypatch):
+    """The canonical search backjumps after a leaf equivalent to the first
+    or the best leaf, so each dedup's generator search fits in 100 nodes and
+    returns fewer than _MAX_GENS generators.  Without backjumping K_2(4,2)
+    stopped at the cap of 100 generators after 285 nodes and J_1(11,4) took
+    226 nodes; the searches now take 31, 31 (on the twin quotient) and 62."""
+    calls = []
+
+    def bounded(g, colors, _real=search.automorphism_generators):
+        try:
+            calls.append(_real(g, budget=100, colors=colors))
+        except canon.BudgetExhaustedError:
+            pytest.fail("the generator search took more than 100 nodes")
+        return calls[-1]
+
+    monkeypatch.setattr(search, "automorphism_generators", bounded)
+    params = SchemeParams.parse(scheme)
+    g = build(params)
+    if pattern is None:
+        res = search_gm4(g, SearchConfig())
+    else:
+        cands = pattern(params.n, params.k)
+        res = search_wqh33(g, cands, cands, SearchConfig(mode="wqh33"))
+    assert len(res.specs) == kept and res.dedup_exact is True and not res.partial
+    [gens] = calls
+    assert len(gens) < canon._MAX_GENS
