@@ -29,6 +29,7 @@ from .families import (
 )
 from .graphcore import Graph, decode_graph6, encode_graph6, Graph6ParseError
 from .schemes import (
+    _PARAM_RE,
     DEFAULT_VERTEX_CAP,
     SchemeParams,
     VertexCapExceeded,
@@ -87,25 +88,11 @@ def _prime_count(text: str) -> int:
     return count
 
 
-def _cap_from(args) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("SPECTRAL_SWITCH_CAP")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(EXIT_USAGE, f"SPECTRAL_SWITCH_CAP={env!r} is not an integer")
-    return DEFAULT_VERTEX_CAP
-
-
 def _load_graph(src: str, cap: int) -> Graph:
-    try:
-        params = SchemeParams.parse(src)
-    except ValueError:
-        params = None
-    if params is not None:
-        return build(params, cap)
+    """A scheme string's graph, or a graph6 or JSON file's.  A string in the
+    scheme grammar whose values are invalid raises SchemeParams' ValueError."""
+    if _PARAM_RE.match(src.strip()):
+        return build(SchemeParams.parse(src), cap)
     if not os.path.exists(src):
         raise CliError(
             EXIT_USAGE,
@@ -166,12 +153,7 @@ def _emit_report(obj: dict, path: str | None) -> None:
 
 
 def cmd_build(args) -> int:
-    cap = _cap_from(args)
-    try:
-        params = SchemeParams.parse(args.params)
-    except ValueError as exc:
-        raise CliError(EXIT_INVALID_SPEC, str(exc))
-    g = build(params, cap)
+    g = build(SchemeParams.parse(args.params), args.cap)
     if args.out:
         _write_graph(g, args.out, args.format)
     print(_stats_line(g))
@@ -179,8 +161,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_switch(args) -> int:
-    cap = _cap_from(args)
-    g = _load_graph(args.graph, cap)
+    g = _load_graph(args.graph, args.cap)
     spec = _load_spec(args.spec, g)
     report = validate(g, spec)
     if not report.valid:
@@ -196,8 +177,7 @@ def cmd_switch(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cap = _cap_from(args)
-    g = _load_graph(args.graph, cap)
+    g = _load_graph(args.graph, args.cap)
     spec = _load_spec(args.spec, g)
     report = validate(g, spec)
     out = {
@@ -221,50 +201,41 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_INCONCLUSIVE
 
 
+# recipe name -> (constructor, the flags it takes in argument order, usage hint)
+_RECIPES = {
+    "j2n4": (recipe_j2n4, ("n",), ""),
+    "halfrange": (recipe_halfrange_2kk, ("k",), ""),
+    "qkneser": (recipe_qkneser, ("n", "k"), ""),
+    "sporadic": (recipe_sporadic, ("name",), f" (one of {', '.join(SPORADIC_NAMES)})"),
+}
+
+
 def cmd_recipe(args) -> int:
-    name = args.recipe_name
-    try:
-        if name == "j2n4":
-            if args.n is None:
-                raise CliError(EXIT_USAGE, "recipe j2n4 needs --n")
-            recipe = recipe_j2n4(args.n)
-        elif name == "halfrange":
-            if args.k is None:
-                raise CliError(EXIT_USAGE, "recipe halfrange needs --k")
-            recipe = recipe_halfrange_2kk(args.k)
-        elif name == "qkneser":
-            if args.n is None or args.k is None:
-                raise CliError(EXIT_USAGE, "recipe qkneser needs --n and --k")
-            recipe = recipe_qkneser(args.n, args.k)
-        elif name == "sporadic":
-            if not args.name:
-                raise CliError(
-                    EXIT_USAGE,
-                    f"recipe sporadic needs --name (one of {', '.join(SPORADIC_NAMES)})",
-                )
-            recipe = recipe_sporadic(args.name)
-        else:
-            raise CliError(EXIT_USAGE, f"unknown recipe {name!r}")
-    except ValueError as exc:
-        raise CliError(EXIT_INVALID_SPEC, str(exc))
-    report = run_recipe(recipe, num_primes=args.primes, seed=args.seed,
-                        budget=args.budget, cap=_cap_from(args))
+    ctor, flags, hint = _RECIPES[args.recipe_name]
+    values = [getattr(args, flag) for flag in flags]
+    if None in values:
+        needs = " and ".join(f"--{flag}" for flag in flags)
+        raise CliError(EXIT_USAGE, f"recipe {args.recipe_name} needs {needs}{hint}")
+    report = run_recipe(ctor(*values), num_primes=args.primes, seed=args.seed,
+                        budget=args.budget, cap=args.cap)
     _emit_report(report.to_json_dict(), args.report)
     return EXIT_OK if report.passed else EXIT_INCONCLUSIVE
 
 
+# --pattern -> wqh33 candidate generator
+_PATTERNS = {"core": johnson_core_triples, "blocks": johnson_block_triples}
+
+
 def cmd_search(args) -> int:
-    cap = _cap_from(args)
     try:
         cfg = SearchConfig(mode=args.mode, max_candidates=args.limit,
                            time_budget=args.budget, dedup=not args.no_dedup)
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc))
-    g = _load_graph(args.graph, cap)
+    g = _load_graph(args.graph, args.cap)
     if args.mode == "gm4":
         result = search_gm4(g, cfg)
     else:
-        candidates = None
         if args.candidates:
             with open(args.candidates) as fh:
                 candidates = [tuple(t) for t in json.load(fh)]
@@ -279,10 +250,7 @@ def cmd_search(args) -> int:
                 )
             if params.kind != "johnson":
                 raise CliError(EXIT_USAGE, "--pattern generators need a johnson scheme")
-            if args.pattern == "blocks":
-                candidates = johnson_block_triples(params.n, params.k)
-            else:
-                candidates = johnson_core_triples(params.n, params.k)
+            candidates = _PATTERNS[args.pattern](params.n, params.k)
         result = search_wqh33(g, candidates, candidates, cfg)
     out = result.to_json_dict()
     out["schema_version"] = REPORT_SCHEMA_VERSION
@@ -297,8 +265,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    cap = _cap_from(args)
-    g = _load_graph(args.graph, cap)
+    g = _load_graph(args.graph, args.cap)
     primes = random_primes(args.primes, args.seed)
     sig = signature(g, primes)
     out = {
@@ -311,7 +278,7 @@ def cmd_spectrum(args) -> int:
     if args.eigenvalues:
         out["eigenvalues_float"] = eigenvalues_float(g)
     if args.compare:
-        other = _load_graph(args.compare, cap)
+        other = _load_graph(args.compare, args.cap)
         # g's charpolys are in the signature already
         out["cospectral"] = _cospectral(g, other, primes, args.seed,
                                         coeffs1=sig.coeffs).to_json_dict()
@@ -320,8 +287,8 @@ def cmd_spectrum(args) -> int:
 
 
 def _add_common(p):
-    p.add_argument("--cap", type=int, default=None,
-                   help="vertex cap (default 100000; env SPECTRAL_SWITCH_CAP)")
+    p.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP,
+                   help="vertex cap (default %(default)s)")
 
 
 def build_parser() -> _Parser:
@@ -359,8 +326,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("recipe", help="run a named construction end to end")
-    p.add_argument("recipe_name",
-                   choices=("j2n4", "halfrange", "qkneser", "sporadic"))
+    p.add_argument("recipe_name", choices=tuple(_RECIPES))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--name", help="sporadic table entry name")
@@ -378,7 +344,7 @@ def build_parser() -> _Parser:
                    help="max candidates examined")
     p.add_argument("--budget", type=float, default=300.0, help="time budget, seconds")
     p.add_argument("--out", help="write found specs here as well")
-    p.add_argument("--pattern", choices=("core", "blocks"), default="core",
+    p.add_argument("--pattern", choices=tuple(_PATTERNS), default="core",
                    help="wqh33 candidate generator")
     p.add_argument("--candidates", help="JSON file of candidate triples (wqh33)")
     p.add_argument("--no-dedup", action="store_true")

@@ -411,35 +411,27 @@ class RecipeReport:
 def run_recipe(r: Recipe, num_primes: int = 3, seed: int = 0,
                budget: int = DEFAULT_NODE_BUDGET,
                cap: int = DEFAULT_VERTEX_CAP) -> RecipeReport:
-    """Execute a recipe end to end; stage failures carry the stage name."""
+    """Execute a recipe end to end; a failure carries the name of the stage
+    it reached."""
     # imported per call, so perfbench's wrapper on schemes.build sees it
     from .schemes import build
 
+    stage = "build"
     try:
         g = build(r.params, cap)
-    except Exception as exc:
-        raise RecipeStageError("build", exc)
-    try:
+        stage = "validate"
         report = validate(g, r.spec)
         if not report.valid:
-            first = report.violations[0]
-            raise RecipeStageError("validate", ValueError(first.message))
+            raise ValueError(report.violations[0].message)
+        stage = "switch"
         mate = apply_switching(g, r.spec, report)
-    except RecipeStageError:
-        raise
-    except Exception as exc:
-        raise RecipeStageError("switch", exc)
-    try:
+        stage = "cospectral"
         cv = cospectral(g, mate, num_primes=num_primes, seed=seed, spec=r.spec)
-    except Exception as exc:
-        raise RecipeStageError("cospectral", exc)
-    try:
+        stage = "witnesses"
         wr = tuple(w.check(g, mate) for w in r.witnesses)
-    except Exception as exc:
-        raise RecipeStageError("witnesses", exc)
-    try:
+        stage = "certify"
         nv = nonisomorphic(g, mate, budget)
     except Exception as exc:
-        raise RecipeStageError("certify", exc)
+        raise RecipeStageError(stage, exc)
     return RecipeReport(r, g, mate, report.valid, report.wqh_constant, cv, wr, nv,
                         seed, num_primes)

@@ -103,9 +103,6 @@ class Graph:
 
     # -- basic queries ---------------------------------------------------
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(r.bit_count() for r in self.rows)
 

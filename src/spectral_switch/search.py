@@ -1,7 +1,8 @@
 """Bounded brute-force discovery of switching sets.
 
-gm4 enumerates 4-subsets of the vertex set as single GM cells, rejecting on
-the cheap within-cell regularity condition before scanning outside vertices.
+gm4 enumerates 4-subsets of the vertex set as single GM cells: the
+within-cell regularity condition, then one parity test for every outside
+vertex at once.
 wqh33 validates pairs of caller-supplied (or pattern-generated) vertex
 triples as WQH cells.  Results are deterministic given the config.
 
@@ -172,14 +173,9 @@ def search_gm4(g: Graph, cfg: SearchConfig) -> SearchResult:
                 or (rows[c] & cmask).bit_count() != k0
                 or (rows[d] & cmask).bit_count() != k0):
             continue
-        ok = True
-        for v in range(n):
-            if (cmask >> v) & 1:
-                continue
-            if (rows[v] & cmask).bit_count() not in (0, 2, 4):
-                ok = False
-                break
-        if ok:
+        # bit v of the XOR is the parity of v's count in the cell, and an
+        # outside vertex must see 0, 2 or 4 cells: an even number
+        if (rows[a] ^ rows[b] ^ rows[c] ^ rows[d]) & ~cmask == 0:
             specs.append(GmSpec([cell]))
     return _dedup(g, specs, partial) if cfg.dedup else SearchResult(tuple(specs), partial)
 

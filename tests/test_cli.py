@@ -67,20 +67,12 @@ def test_build_bad_params(capsys):
     assert code == cli.EXIT_INVALID_SPEC
 
 
-def test_cap_flag_and_env(capsys, monkeypatch):
+def test_cap_flag_and_env(capsys):
     code, _, err = run(capsys, "build", "J{0}(40,20)", "--cap", "1000")
     assert code == cli.EXIT_CAP
     assert "cap" in err
-    monkeypatch.setenv("SPECTRAL_SWITCH_CAP", "10")
-    code, _, _ = run(capsys, "build", "J{2}(8,4)")
-    assert code == cli.EXIT_CAP
-    # explicit flag wins over the environment
     code, _, _ = run(capsys, "build", "J{2}(8,4)", "--cap", "100")
     assert code == 0
-    monkeypatch.setenv("SPECTRAL_SWITCH_CAP", "lots")
-    code, _, err = run(capsys, "build", "J{2}(8,4)")
-    assert code == cli.EXIT_USAGE
-    assert "not an integer" in err
 
 
 def test_charpoly_size_limit_exit_code(capsys, monkeypatch):
@@ -101,6 +93,27 @@ def test_charpoly_size_limit_exit_code(capsys, monkeypatch):
 
 def test_missing_graph_file(capsys):
     code, _, err = run(capsys, "spectrum", "--graph", "no-such-file.g6")
+    assert code == cli.EXIT_USAGE
+    assert "neither parseable" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("switch", "--spec", "unused.json", "--graph"),
+    ("verify", "--spec", "unused.json", "--graph"),
+    ("search", "--mode", "gm4", "--graph"),
+    ("spectrum", "--graph"),
+    ("spectrum", "--graph", "J{0}(5,2)", "--compare"),
+], ids=["switch", "verify", "search", "spectrum-graph", "spectrum-compare"])
+def test_graph_argument_errors_exit_as_build_does(capsys, argv):
+    """A scheme string with invalid values exits 2 with SchemeParams' own
+    message, as build does; a string that is neither a scheme string nor a
+    file exits 1."""
+    for text, message in (("J{9}(8,4)", "S=[9] must be a subset of 0..3"),
+                          ("Jq{0}(4,2;q=6)", "unsupported q=6")):
+        code, _, err = run(capsys, "build", text)
+        assert code == cli.EXIT_INVALID_SPEC and message in err
+        assert run(capsys, *argv, text) == (code, "", err)
+    code, _, err = run(capsys, *argv, "J{2}[8,4]")
     assert code == cli.EXIT_USAGE
     assert "neither parseable" in err
 

@@ -129,13 +129,25 @@ def test_run_recipe_cap_failure():
     assert "stage build" in str(err.value)
 
 
-def test_run_recipe_validate_failure():
+def test_run_recipe_validate_failure(monkeypatch):
+    from spectral_switch import families
+
     # a cell that is not a GM cell of the Petersen graph
     bogus = Recipe("bogus", SchemeParams.johnson(5, 2, {0}),
                    GmSpec([[0, 1, 2, 3]]), (), "synthetic")
     with pytest.raises(RecipeStageError) as err:
         run_recipe(bogus)
     assert err.value.stage == "validate"
+
+    # an exception raised inside validate itself carries the same stage
+    def broken(g, spec):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(families, "validate", broken)
+    with pytest.raises(RecipeStageError) as err:
+        run_recipe(recipe_j2n4(8))
+    assert str(err.value) == "stage validate: boom"
+    assert isinstance(err.value.__cause__, ZeroDivisionError)
 
 
 @pytest.mark.parametrize("recipe", [recipe_j2n4(8), recipe_halfrange_2kk(5)],

@@ -19,7 +19,13 @@ from spectral_switch.search import (
     search_gm4,
     search_wqh33,
 )
-from spectral_switch.switching import GmSpec, WqhSpec, apply_switching, validate
+from spectral_switch.switching import (
+    GmSpec,
+    WqhSpec,
+    apply_switching,
+    validate,
+    validate_gm,
+)
 
 from oracles import search_wqh33_reference
 
@@ -80,6 +86,24 @@ def test_gm4_edgeless_identity_switches():
     assert len(raw.specs) == 70  # C(8,4); every cell qualifies trivially
     deduped = search_gm4(g, SearchConfig(dedup=True))
     assert deduped.specs == ()  # nothing flips, all switches are identities
+
+
+def test_gm4_raw_specs_are_the_cells_validate_gm_accepts():
+    """The one parity test on outside vertices keeps exactly the 4-subsets
+    that validate_gm accepts: seeded G(n, p) graphs, and the edgeless and
+    complete graphs, where every 4-subset is a cell."""
+    accepted = 0
+    for seed in range(22):
+        rng = random.Random(seed)
+        n = rng.randint(7, 11)
+        p = (0.0, 1.0)[seed] if seed < 2 else rng.uniform(0.2, 0.8)
+        g = Graph.from_edges(n, list(nx.gnp_random_graph(n, p, seed=seed).edges()))
+        want = [cell for cell in combinations(range(n), 4)
+                if validate_gm(g, GmSpec([cell])).valid]
+        raw = search_gm4(g, SearchConfig(dedup=False))
+        assert [tuple(s.cells[0]) for s in raw.specs] == want, seed
+        accepted += len(want) if seed >= 2 else 0
+    assert accepted >= 25  # random graphs, not only the trivial two
 
 
 def test_core_triples_shape():
