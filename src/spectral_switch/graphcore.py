@@ -75,11 +75,12 @@ class Graph:
                     raise ValueError(f"row {v} has bits beyond vertex {n - 1}")
                 if (row >> v) & 1:
                     raise ValueError(f"self-loop at vertex {v}")
-            for v in range(n):
-                rv = rows[v]
-                for u in range(v + 1, n):
-                    if ((rv >> u) ^ (rows[u] >> v)) & 1:
-                        raise ValueError(f"asymmetric adjacency between {v} and {u}")
+            # the first row-major entry of a != a.T is the least (v, u), v < u
+            a = _unpacked_rows(rows, n)
+            first = np.flatnonzero(a != a.T)[:1]
+            if first.size:
+                v, u = divmod(int(first[0]), n)
+                raise ValueError(f"asymmetric adjacency between {v} and {u}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", labels)

@@ -24,13 +24,11 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .algebra import MatrixFq, binom, field_table, gauss_binom, SUPPORTED_Q
+from .algebra import binom, field_table, gauss_binom, SUPPORTED_Q
 from .graphcore import Graph, _bit_rows
 
 __all__ = [
     "SchemeParams",
-    "SetVertex",
-    "SubspaceVertex",
     "VertexCapExceeded",
     "DEFAULT_VERTEX_CAP",
     "count_vertices",
@@ -79,49 +77,15 @@ def elements_of_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SetVertex:
-    """A k-subset of {1..n}, stored as a bitmask over bits 0..n-1."""
-
-    mask: int
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.mask >> self.n:
-            raise ValueError("mask has bits outside the ground set")
-        if self.mask.bit_count() != self.k:
-            raise ValueError(f"mask has {self.mask.bit_count()} elements, expected {self.k}")
-
-    def elements(self) -> tuple[int, ...]:
-        return elements_of_mask(self.mask)
-
-    def label(self) -> str:
-        return "{" + ",".join(str(e) for e in self.elements()) + "}"
+def _set_label(mask: int) -> str:
+    return "{" + ",".join(str(e) for e in elements_of_mask(mask)) + "}"
 
 
 _DIGITS = "0123456789abcdef"
 
 
-@dataclass(frozen=True)
-class SubspaceVertex:
-    """A k-dimensional subspace of F_q^n via its canonical RREF basis."""
-
-    basis: MatrixFq
-    n: int
-    k: int
-    q: int
-
-    def __post_init__(self):
-        b = self.basis
-        if b.ncols != self.n or b.nrows != self.k or b.field.q != self.q:
-            raise ValueError("basis shape does not match (n, k, q)")
-        if not b.is_rref():
-            raise ValueError("basis is not in reduced row echelon form")
-
-    def label(self) -> str:
-        rows = ("".join(_DIGITS[e] for e in row) for row in self.basis.rows)
-        return "<" + ",".join(rows) + ">"
+def _subspace_label(basis) -> str:
+    return "<" + ",".join("".join(_DIGITS[e] for e in row) for row in basis) + ">"
 
 
 _PARAM_RE = re.compile(
@@ -175,8 +139,10 @@ class SchemeParams:
         m = _PARAM_RE.match(text.strip())
         if not m:
             raise ValueError(f"cannot parse scheme parameters from {text!r}")
-        s_text = m.group("S").strip()
-        S = frozenset(int(x) for x in s_text.split(",") if x.strip()) if s_text else frozenset()
+        fields = [x.strip() for x in m.group("S").split(",")]
+        if not all(x.isdigit() for x in fields if x):
+            raise ValueError(f"{text!r}: S takes integers separated by commas")
+        S = frozenset(int(x) for x in fields if x)
         n, k = int(m.group("n")), int(m.group("k"))
         if m.group("grassmann"):
             if m.group("q") is None:
@@ -228,9 +194,9 @@ def _rref_free_positions(pivots: tuple[int, ...], n: int) -> list[tuple[int, int
     return free
 
 
-def _subspace_bases(n: int, k: int, q: int):
-    """Canonical RREF bases of all k-subspaces of F_q^n, in canonical order."""
-    f = field_table(q)
+def _subspace_bases(n: int, k: int, q: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Canonical RREF bases of all k-subspaces of F_q^n, in canonical order,
+    each as a tuple of k row tuples."""
     out = []
     for pivots in combinations(range(n), k):
         free = _rref_free_positions(pivots, n)
@@ -243,18 +209,20 @@ def _subspace_bases(n: int, k: int, q: int):
             rows = [row[:] for row in base]
             for (i, j), val in zip(free, values):
                 rows[i][j] = val
-            out.append(MatrixFq(f, rows, n))
+            out.append(tuple(map(tuple, rows)))
     return out
 
 
 def enumerate_vertices(p: SchemeParams, cap: int = DEFAULT_VERTEX_CAP):
-    """Vertices in canonical order; raises VertexCapExceeded before enumerating."""
+    """Vertices in canonical order: subset bitmasks for Johnson schemes, RREF
+    bases as tuples of row tuples for Grassmann schemes.  Raises
+    VertexCapExceeded before enumerating."""
     count = count_vertices(p)
     if count > cap:
         raise VertexCapExceeded(count, cap)
     if p.kind == "johnson":
-        return [SetVertex(m, p.n, p.k) for m in _subset_masks(p.n, p.k)]
-    return [SubspaceVertex(b, p.n, p.k, p.q) for b in _subspace_bases(p.n, p.k, p.q)]
+        return _subset_masks(p.n, p.k)
+    return _subspace_bases(p.n, p.k, p.q)
 
 
 def johnson_rank(mask: int) -> int:
@@ -296,23 +264,24 @@ def _popcount(x):
     return table[x[..., None].view(np.uint8)].sum(axis=-1, dtype=np.uint8)
 
 
-def _point_masks(bases: list[MatrixFq]) -> list[int]:
+def _point_masks(bases, q: int) -> list[int]:
     """Bitmask of the projective points each subspace contains.
 
     For an RREF basis, the combinations whose first nonzero coefficient is 1
     are exactly the normalized representatives (first nonzero entry 1) of the
     subspace's points.  Points get bit indices in first-seen order.
     """
+    f = field_table(q)
+    add, mul = f.add, f.mul
     index: dict[tuple[int, ...], int] = {}
     masks = []
     for b in bases:
-        add, mul = b.field.add, b.field.mul
         m = 0
-        for i, lead in enumerate(b.rows):
+        for i, lead in enumerate(b):
             vecs = [lead]
-            for row in b.rows[i + 1:]:
+            for row in b[i + 1:]:
                 vecs = [tuple(add[x][mul[c][y]] for x, y in zip(v, row))
-                        for v in vecs for c in range(b.field.q)]
+                        for v in vecs for c in range(q)]
             for v in vecs:
                 m |= 1 << index.setdefault(v, len(index))
         masks.append(m)
@@ -347,11 +316,12 @@ def _johnson_rows(masks: list[int], counts) -> list[int]:
 def build(p: SchemeParams, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Build the scheme graph with canonical vertex order and labels."""
     verts = enumerate_vertices(p, cap)
-    labels = [v.label() for v in verts]
     if p.kind == "johnson":
-        masks, counts = [v.mask for v in verts], p.S
+        labels = [_set_label(m) for m in verts]
+        masks, counts = verts, p.S
     else:
-        masks = _point_masks([v.basis for v in verts])
+        labels = [_subspace_label(b) for b in verts]
+        masks = _point_masks(verts, p.q)
         counts = {(p.q ** s - 1) // (p.q - 1) for s in p.S}
     return Graph(len(verts), _johnson_rows(masks, counts), labels, validate=False)
 

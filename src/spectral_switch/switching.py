@@ -17,7 +17,8 @@ Both operations preserve the characteristic polynomial and are involutions.
 Each is conjugation by a rational orthogonal matrix Q, block-diagonal over
 the cells and the identity elsewhere; switching_certificate checks
 Q^T A Q = A' exactly, which proves a pair cospectral without a charpoly.
-It reads only the rows of the cells: both sides are symmetric, so those
+It reads the cell rows in full and compares every other row bit by bit off
+the cells, where Q is the identity: both sides are symmetric, so the cell
 rows fix the cell columns too.
 """
 
@@ -293,7 +294,7 @@ def switching_certificate(g: Graph, mate: Graph, spec) -> bool:
     A' are the adjacency matrices of g and mate; then the pair is cospectral.
 
     Q has one block per GM cell or WQH pair (see _switching_blocks) and is
-    the identity elsewhere.  Only the cell rows are read: R = A[cells, :]
+    the identity elsewhere.  The cell rows are read in full: R = A[cells, :]
     and R' = A'[cells, :].  Both sides of the identity are symmetric (every
     Graph is), so the cell columns are the transposes of the cell rows and
     need no check of their own.  Everything is checked exactly in int64,

@@ -212,7 +212,7 @@ def test_criterion_5_property_suites(corpus_reports, k242, petersen):
             shifted = {s + n - 2 * kk}
             g2 = build(SchemeParams.johnson(n, n - kk, shifted))
             full = (1 << n) - 1
-            perm = [johnson_rank(full ^ v.mask)
+            perm = [johnson_rank(full ^ v)
                     for v in enumerate_vertices(SchemeParams.johnson(n, kk, {s}))]
             assert g1.relabel(perm).rows == g2.rows, (n, kk, s)
         info["detail"] = ("involution, charpoly identities, gauss_binom oracle, "

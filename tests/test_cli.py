@@ -109,7 +109,8 @@ def test_graph_argument_errors_exit_as_build_does(capsys, argv):
     message, as build does; a string that is neither a scheme string nor a
     file exits 1."""
     for text, message in (("J{9}(8,4)", "S=[9] must be a subset of 0..3"),
-                          ("Jq{0}(4,2;q=6)", "unsupported q=6")):
+                          ("Jq{0}(4,2;q=6)", "unsupported q=6"),
+                          ("J{1 2}(8,4)", "S takes integers separated by commas")):
         code, _, err = run(capsys, "build", text)
         assert code == cli.EXIT_INVALID_SPEC and message in err
         assert run(capsys, *argv, text) == (code, "", err)

@@ -45,6 +45,29 @@ def test_graph_validation():
     assert Graph(2, [2, 1]).num_edges() == 1  # K2, row bits symmetric
 
 
+def test_graph_validation_names_the_first_failure():
+    """Range and self-loop checks run row by row before the symmetry check,
+    which names the least asymmetric pair (v, u), v < u."""
+    with pytest.raises(ValueError, match="asymmetric adjacency between 0 and 3"):
+        Graph(4, [0b1000, 0b0100, 0, 0])
+    with pytest.raises(ValueError, match="self-loop at vertex 2"):
+        Graph(3, [0b010, 0, 0b100])
+    with pytest.raises(ValueError, match="row 1 has bits beyond vertex 2"):
+        Graph(3, [0b010, 0b1001, 0b011])
+    rng = random.Random(3)
+    for n in range(2, 40):
+        rows = list(nx_random(n, 0.5, n)[0].rows)
+        for _ in range(2):  # one or two off-diagonal bits flipped
+            v, u = rng.sample(range(n), 2)
+            rows[v] ^= 1 << u
+        want = next(((v, u) for v in range(n) for u in range(v + 1, n)
+                     if ((rows[v] >> u) ^ (rows[u] >> v)) & 1), None)
+        if want is None:
+            continue
+        with pytest.raises(ValueError, match=f"between {want[0]} and {want[1]}$"):
+            Graph(n, rows)
+
+
 def test_graph_immutable():
     g = Graph.from_edges(2, [(0, 1)])
     with pytest.raises(AttributeError):

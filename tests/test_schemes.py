@@ -4,12 +4,11 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from spectral_switch.algebra import MatrixFq, field_table
 from spectral_switch.canon import canonical_form
 from spectral_switch.graphcore import Graph
 from spectral_switch.schemes import (
     SchemeParams,
-    SetVertex,
-    SubspaceVertex,
     VertexCapExceeded,
     _johnson_rows,
     _point_masks,
@@ -17,10 +16,10 @@ from spectral_switch.schemes import (
     build,
     count_vertices,
     degree_formula,
+    elements_of_mask,
     enumerate_vertices,
     grassmann_rank,
     johnson_rank,
-    mask_of_elements,
 )
 
 from oracles import intersection_dim, johnson_degree_direct
@@ -49,6 +48,10 @@ def test_parse_rejections():
         SchemeParams.parse("J{0}(2,5)")  # k > n
     with pytest.raises(ValueError, match="unsupported q"):
         SchemeParams.parse("Jq{0}(4,2;q=6)")
+    with pytest.raises(ValueError, match=r"'J\{1 2\}\(8,4\)': S takes integers separated by commas"):
+        SchemeParams.parse("J{1 2}(8,4)")
+    for text in ("J{1, 2}(8,4)", "J{ 1 ,2 }(8,4)"):
+        assert SchemeParams.parse(text) == SchemeParams.johnson(8, 4, {1, 2})
 
 
 def test_count_vertices_frozen():
@@ -78,16 +81,22 @@ def test_johnson_enumeration_order_and_rank():
     p = SchemeParams.johnson(6, 3, {1})
     verts = enumerate_vertices(p)
     assert len(verts) == 20
-    assert len({v.mask for v in verts}) == 20
+    assert len(set(verts)) == 20
     for i, v in enumerate(verts):
-        assert v.mask.bit_count() == 3
-        assert johnson_rank(v.mask) == i
-    assert verts[0].elements() == (1, 2, 3)
+        assert v.bit_count() == 3
+        assert johnson_rank(v) == i
+    assert elements_of_mask(verts[0]) == (1, 2, 3)
 
 
-def test_set_vertex_labels():
-    v = SetVertex(mask_of_elements((1, 2, 5), 6), 6, 3)
-    assert v.label() == "{1,2,5}"
+def test_build_labels_golden():
+    assert build(SchemeParams.parse("J{0}(5,2)")).labels == (
+        "{1,2}", "{1,3}", "{2,3}", "{1,4}", "{2,4}", "{3,4}",
+        "{1,5}", "{2,5}", "{3,5}", "{4,5}")
+    assert build(SchemeParams.parse("Jq{0}(2,1;q=16)")).labels == tuple(
+        [f"<1{d}>" for d in "0123456789abcdef"] + ["<01>"])
+    labels = build(SchemeParams.parse("Jq{1}(3,2;q=3)")).labels
+    assert labels[:3] == ("<100,010>", "<100,011>", "<100,012>")
+    assert labels[-1] == "<010,001>"
 
 
 def test_subspace_enumeration():
@@ -96,16 +105,15 @@ def test_subspace_enumeration():
     assert len(verts) == 35
     assert len(set(verts)) == 35
     for v in verts:
-        assert v.basis.is_rref()
-        assert v.basis.nrows == 2
-    line1 = verts[0]
-    assert isinstance(line1, SubspaceVertex)
+        assert MatrixFq(field_table(2), v, 4).is_rref()
+        assert len(v) == 2
+    assert verts[0] == ((1, 0, 0, 0), (0, 1, 0, 0))
 
 
 @pytest.mark.parametrize("n, k, q", [(4, 2, 2), (5, 2, 2), (6, 3, 2), (4, 2, 3)])
 def test_grassmann_rank_is_the_enumeration_index(n, k, q):
     verts = enumerate_vertices(SchemeParams.grassmann(n, k, {0}, q))
-    assert [grassmann_rank(v.basis.rows, q) for v in verts] == list(range(len(verts)))
+    assert [grassmann_rank(v, q) for v in verts] == list(range(len(verts)))
 
 
 def test_subspace_bases_distinct_across_q():
@@ -131,10 +139,10 @@ def test_degree_formula_vs_direct_count():
 def test_johnson_rows_without_bitwise_count(monkeypatch):
     """The popcount fallback for numpy < 2 builds the same rows, also on
     point masks wider than one 64-bit word (121 points of F_3^5)."""
-    masks = [v.mask for v in enumerate_vertices(SchemeParams.johnson(8, 4, {2}))]
+    masks = enumerate_vertices(SchemeParams.johnson(8, 4, {2}))
     want = _johnson_rows(masks, {2})
     gp = SchemeParams.grassmann(5, 2, {1}, 3)
-    qmasks = _point_masks(_subspace_bases(5, 2, 3))
+    qmasks = _point_masks(_subspace_bases(5, 2, 3), 3)
     assert max(qmasks).bit_length() == 121
     qwant = _johnson_rows(qmasks, {1})
     monkeypatch.delattr(np, "bitwise_count", raising=False)
@@ -163,7 +171,7 @@ def test_build_labels():
 
 def _assert_matches_intersection_dim(p: SchemeParams, pairs):
     g = build(p)
-    bases = [v.basis for v in enumerate_vertices(p)]
+    bases = [MatrixFq(field_table(p.q), v, p.n) for v in enumerate_vertices(p)]
     for i, j in pairs:
         want = i != j and intersection_dim(bases[i], bases[j]) in p.S
         assert g.has_edge(i, j) == want, (p.format(), i, j)
@@ -211,6 +219,6 @@ def test_complement_map_isomorphism():
         s2 = {s + n - 2 * k for s in S}
         h = build(SchemeParams.johnson(n, n - k, s2))
         full = (1 << n) - 1
-        perm = [johnson_rank(full ^ v.mask)
+        perm = [johnson_rank(full ^ v)
                 for v in enumerate_vertices(SchemeParams.johnson(n, k, S))]
         assert g.relabel(perm).rows == h.rows, (n, k, S)
