@@ -1,10 +1,8 @@
-"""Exact combinatorics and small finite-field linear algebra.
+"""Exact binomials, Gaussian binomials and small finite-field tables.
 
 Counts are exact Python integers.  Finite fields of order q <= 16 are lookup
 tables built from fixed irreducible polynomials and checked against the field
-axioms at construction time.  Matrices over these fields support reduced row
-echelon form; RREF with zero rows dropped is the canonical representative of
-a row space.
+axioms at construction time.
 """
 
 from __future__ import annotations
@@ -17,8 +15,6 @@ __all__ = [
     "FieldTable",
     "field_table",
     "SUPPORTED_Q",
-    "MatrixFq",
-    "rref",
 ]
 
 # Prime-power orders with a fixed monic irreducible polynomial over the prime
@@ -171,93 +167,4 @@ def field_table(q: int) -> FieldTable:
     if tab is None:
         tab = _FIELD_CACHE[q] = FieldTable(q)
     return tab
-
-
-class MatrixFq:
-    """Immutable matrix over F_q; entries stored as ints in 0..q-1."""
-
-    __slots__ = ("field", "rows", "ncols")
-
-    def __init__(self, field: FieldTable, rows, ncols: int | None = None):
-        rows = tuple(tuple(int(e) for e in row) for row in rows)
-        if rows:
-            ncols = len(rows[0]) if ncols is None else ncols
-            for row in rows:
-                if len(row) != ncols:
-                    raise ValueError("ragged rows")
-        elif ncols is None:
-            raise ValueError("ncols required for a matrix with no rows")
-        for row in rows:
-            for e in row:
-                if not 0 <= e < field.q:
-                    raise ValueError(f"entry {e} out of range for F_{field.q}")
-        self.field = field
-        self.rows = rows
-        self.ncols = ncols
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def is_rref(self) -> bool:
-        piv = []
-        for row in self.rows:
-            lead = next((j for j, e in enumerate(row) if e), None)
-            if lead is None:
-                return False  # zero rows are dropped in canonical form
-            if piv and lead <= piv[-1]:
-                return False
-            if row[lead] != 1:
-                return False
-            piv.append(lead)
-        for j in piv:
-            col_nonzero = sum(1 for row in self.rows if row[j])
-            if col_nonzero != 1:
-                return False
-        return True
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MatrixFq)
-            and self.field.q == other.field.q
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.field.q, self.ncols, self.rows))
-
-    def __repr__(self):
-        body = "; ".join("".join(str(e) for e in row) for row in self.rows)
-        return f"MatrixFq(q={self.field.q}, [{body}], ncols={self.ncols})"
-
-
-def rref(m: MatrixFq) -> MatrixFq:
-    """Reduced row echelon form with zero rows removed.
-
-    The result is the canonical representative of the row space: pivots are 1,
-    pivot columns are otherwise zero, pivot positions strictly increase.
-    """
-    f = m.field
-    add, mul, neg, inv = f.add, f.mul, f.neg, f.inv
-    work = [list(row) for row in m.rows]
-    nr, nc = len(work), m.ncols
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        s = inv[work[r][c]]
-        if s != 1:
-            work[r] = [mul[s][e] for e in work[r]]
-        for i in range(nr):
-            if i != r and work[i][c]:
-                t = neg[work[i][c]]
-                row_r = work[r]
-                work[i] = [add[e][mul[t][x]] for e, x in zip(work[i], row_r)]
-        r += 1
-        if r == nr:
-            break
-    return MatrixFq(f, [row for row in work if any(row)], nc)
 

@@ -77,14 +77,16 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(EXIT_USAGE, message)
 
 
-def _prime_count(text: str) -> int:
-    """The --primes value: a count of at least one prime."""
-    try:
-        count = int(text)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"need at least one prime, got {text!r}")
+def _at_least_one(noun: str):
+    """An argparse type for --primes, --cap and the node --budget."""
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"need at least one {noun}, got {text!r}")
+        return value
     return count
 
 
@@ -238,7 +240,9 @@ def cmd_search(args) -> int:
     else:
         if args.candidates:
             with open(args.candidates) as fh:
-                candidates = [tuple(t) for t in json.load(fh)]
+                candidates = json.load(fh)
+            if not isinstance(candidates, list):
+                raise ValueError(f"{args.candidates}: not a JSON list of candidate triples")
         else:
             try:
                 params = SchemeParams.parse(args.graph)
@@ -287,7 +291,7 @@ def cmd_spectrum(args) -> int:
 
 
 def _add_common(p):
-    p.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP,
+    p.add_argument("--cap", type=_at_least_one("vertex"), default=DEFAULT_VERTEX_CAP,
                    help="vertex cap (default %(default)s)")
 
 
@@ -318,9 +322,9 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", required=True)
     p.add_argument("--spec", required=True)
     p.add_argument("--report", help="write the JSON report here as well")
-    p.add_argument("--primes", type=_prime_count, default=3)
+    p.add_argument("--primes", type=_at_least_one("prime"), default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+    p.add_argument("--budget", type=_at_least_one("node"), default=DEFAULT_NODE_BUDGET,
                    help="canonical labeling node budget")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
@@ -331,9 +335,9 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int)
     p.add_argument("--name", help="sporadic table entry name")
     p.add_argument("--report", help="write the JSON report here as well")
-    p.add_argument("--primes", type=_prime_count, default=3)
+    p.add_argument("--primes", type=_at_least_one("prime"), default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_at_least_one("node"), default=DEFAULT_NODE_BUDGET)
     _add_common(p)
     p.set_defaults(func=cmd_recipe)
 
@@ -354,7 +358,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("spectrum", help="charpoly signature, optional comparison")
     p.add_argument("--graph", required=True)
     p.add_argument("--compare", help="second graph to test cospectrality against")
-    p.add_argument("--primes", type=_prime_count, default=3)
+    p.add_argument("--primes", type=_at_least_one("prime"), default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eigenvalues", action="store_true",
                    help="include floating-point eigenvalues")

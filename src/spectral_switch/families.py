@@ -12,9 +12,8 @@ report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .algebra import MatrixFq, binom, field_table, rref
+from .algebra import binom
 from .certify import (
     NonIsoVerdict,
     nonisomorphic,
@@ -257,10 +256,6 @@ def recipe_halfrange_2kk(k: int) -> Recipe:
                   "cells: supersets of the first k-1 points, and complements")
 
 
-def _f2_space(n: int, vectors: Sequence[Sequence[int]]) -> MatrixFq:
-    return rref(MatrixFq(field_table(2), [list(v) for v in vectors], n))
-
-
 def _e(n: int, *idx: int):
     """Sum of standard basis vectors e_i (1-based) in F_2^n."""
     v = [0] * n
@@ -282,22 +277,15 @@ def recipe_qkneser(n: int, k: int) -> Recipe:
     if n < 2 * k:
         raise ValueError(f"need n >= 2k, got n={n}, k={k}")
     params = SchemeParams.grassmann(n, k, {0}, 2)
-    pi_gens = [_e(n, i) for i in range(4, k + 2)]
-    p1, p2, p3 = _e(n, 1), _e(n, 2), _e(n, 3)
-    p4, p5 = _e(n, 1, 2), _e(n, 1, 3)
-    if k == 2:
-        tau_gens = [_e(n, 4)]
-    else:
-        tau_gens = [_e(n, i) for i in range(k + 2, 2 * k + 1)]
-    # every generator list below is independent: distinct standard basis
-    # vectors, or e1+e2 and e1+e3 with no other e1, e2 or e3
-    def index(gens):
-        return grassmann_rank(_f2_space(n, gens).rows, 2)
-
-    spec = GmSpec([[index([x, y] + pi_gens)
-                    for x, y in ((p1, p2), (p1, p3), (p2, p3), (p4, p5))]])
-    a, b_, c = (index([x] + tau_gens) for x in (p1, p2, p4))
-    witness = SelectiveTriple(a, b_, c)
+    pi = [_e(n, i) for i in range(4, k + 2)]
+    e1, e2, e3 = _e(n, 1), _e(n, 2), _e(n, 3)
+    tau = [_e(n, 4)] if k == 2 else [_e(n, i) for i in range(k + 2, 2 * k + 1)]
+    # RREF bases, rows in pivot order: p4p5pi = <e1+e2, e1+e3, pi> reduces to
+    # <e1+e3, e2+e3, pi>, and p4tau = <e1+e2, tau> is already reduced, since
+    # e2 is not a pivot column
+    cell = ([e1, e2], [e1, e3], [e2, e3], [_e(n, 1, 3), _e(n, 2, 3)])
+    spec = GmSpec([[grassmann_rank(pair + pi, 2) for pair in cell]])
+    witness = SelectiveTriple(*(grassmann_rank([x] + tau, 2) for x in (e1, e2, _e(n, 1, 2))))
     return Recipe(f"qkneser(n={n},k={k})", params, spec, (witness,),
                   "four k-spaces pairwise meeting in dimension k-1")
 

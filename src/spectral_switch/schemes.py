@@ -140,7 +140,7 @@ class SchemeParams:
         if not m:
             raise ValueError(f"cannot parse scheme parameters from {text!r}")
         fields = [x.strip() for x in m.group("S").split(",")]
-        if not all(x.isdigit() for x in fields if x):
+        if fields != [""] and not all(x.isdigit() for x in fields):
             raise ValueError(f"{text!r}: S takes integers separated by commas")
         S = frozenset(int(x) for x in fields if x)
         n, k = int(m.group("n")), int(m.group("k"))

@@ -14,6 +14,7 @@ lambda-profiles, and canonical forms only where profiles agree.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from itertools import combinations, compress
@@ -180,6 +181,21 @@ def search_gm4(g: Graph, cfg: SearchConfig) -> SearchResult:
     return _dedup(g, specs, partial) if cfg.dedup else SearchResult(tuple(specs), partial)
 
 
+def _triples(candidates, n: int) -> list[tuple[int, ...]]:
+    """The candidates as int tuples, in one pass; ValueError at the first
+    entry that is not three distinct integers in range(n)."""
+    out = []
+    for t in candidates:
+        try:
+            triple = tuple(map(operator.index, t))
+        except TypeError:
+            triple = ()
+        if len(triple) != 3 or len(set(triple)) != 3 or not all(0 <= v < n for v in triple):
+            raise ValueError(f"candidate triple {t!r} invalid for n={n}")
+        out.append(triple)
+    return out
+
+
 def search_wqh33(g: Graph, candidates1, candidates2, cfg: SearchConfig) -> SearchResult:
     """Validating WQH specs among pairs from two triple-candidate lists.
 
@@ -190,12 +206,7 @@ def search_wqh33(g: Graph, candidates1, candidates2, cfg: SearchConfig) -> Searc
     (3, 0) or (0, 3).  Pairs are taken C1 outer, C2 inner, and
     max_candidates counts pairs.
     """
-    n = g.n
-    c1s = [tuple(t) for t in candidates1]
-    c2s = [tuple(t) for t in candidates2]
-    for t in c1s + c2s:
-        if len(t) != 3 or len(set(t)) != 3 or not all(0 <= v < n for v in t):
-            raise ValueError(f"candidate triple {t} invalid for n={n}")
+    c1s, c2s = _triples(candidates1, g.n), _triples(candidates2, g.n)
     t1 = np.array(c1s, dtype=np.intp).reshape(-1, 3)
     t2 = np.array(c2s, dtype=np.intp).reshape(-1, 3)
     a = dense_adjacency(g, np.int8)

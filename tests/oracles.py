@@ -14,6 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from spectral_switch import canon
+from spectral_switch.algebra import field_table
 
 
 def charpoly_exact(g):
@@ -346,23 +347,47 @@ def relabel_rows_reference(rows, perm) -> list:
     return out
 
 
-def rank(m) -> int:
-    """Rank of an F_q matrix: the row count of its RREF."""
-    from spectral_switch.algebra import rref
+def rank(rows, q: int) -> int:
+    """Rank over F_q of a list of equal-length rows, by plain Gaussian
+    elimination on field_table(q)'s add, mul, neg and inv tables."""
+    f = field_table(q)
+    work = [list(row) for row in rows]
+    if len({len(row) for row in work}) > 1:
+        raise ValueError("ragged rows")
+    r = 0
+    for c in range(len(work[0]) if work else 0):
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        s = f.inv[work[r][c]]
+        work[r] = [f.mul[s][e] for e in work[r]]
+        for i in range(r + 1, len(work)):
+            t = f.neg[work[i][c]]
+            work[i] = [f.add[e][f.mul[t][x]] for e, x in zip(work[i], work[r])]
+        r += 1
+    return r
 
-    return rref(m).nrows
+
+def intersection_dim(u, v, q: int) -> int:
+    """dim(U cap V) for the row spaces U, V of two row lists over one
+    ambient F_q^n, as dim U + dim V - dim(U + V); any spanning rows work."""
+    if len({len(row) for row in list(u) + list(v)}) > 1:
+        raise ValueError("mixed ambient dimensions")
+    return rank(u, q) + rank(v, q) - rank(list(u) + list(v), q)
 
 
-def intersection_dim(u, v) -> int:
-    """dim(U cap V) for row spaces U, V of one ambient F_q^n, as
-    dim U + dim V - dim(U + V); any bases work, since ranks are recomputed."""
-    from spectral_switch.algebra import MatrixFq
-
-    if u.field.q != v.field.q:
-        raise ValueError(f"mixed fields F_{u.field.q} and F_{v.field.q}")
-    if u.ncols != v.ncols:
-        raise ValueError(f"mixed ambient dimensions {u.ncols} and {v.ncols}")
-    return rank(u) + rank(v) - rank(MatrixFq(u.field, u.rows + v.rows, u.ncols))
+def is_rref(rows) -> bool:
+    """True when the rows are in reduced row echelon form with no zero row:
+    each leading entry is 1, strictly right of the one above, and the only
+    nonzero entry of its column."""
+    pivots = []
+    for row in rows:
+        lead = next((j for j, e in enumerate(row) if e), None)
+        if lead is None or row[lead] != 1 or (pivots and lead <= pivots[-1]):
+            return False
+        pivots.append(lead)
+    return all(sum(1 for row in rows if row[j]) == 1 for j in pivots)
 
 
 def switching_certificate_reference(g, mate, spec) -> bool:

@@ -110,7 +110,9 @@ def test_graph_argument_errors_exit_as_build_does(capsys, argv):
     file exits 1."""
     for text, message in (("J{9}(8,4)", "S=[9] must be a subset of 0..3"),
                           ("Jq{0}(4,2;q=6)", "unsupported q=6"),
-                          ("J{1 2}(8,4)", "S takes integers separated by commas")):
+                          ("J{1 2}(8,4)", "S takes integers separated by commas"),
+                          ("J{1,,2}(8,4)", "S takes integers separated by commas"),
+                          ("J{2,}(8,4)", "S takes integers separated by commas")):
         code, _, err = run(capsys, "build", text)
         assert code == cli.EXIT_INVALID_SPEC and message in err
         assert run(capsys, *argv, text) == (code, "", err)
@@ -308,6 +310,40 @@ def test_nonpositive_primes_is_usage_error(capsys, command, value):
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert f"error: argument --primes: need at least one prime, got '{value}'" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command, flag, noun", [
+    (("build", "J{2}(8,4)"), "--cap", "vertex"),
+    (("switch", "--graph", "J{2}(8,4)", "--spec", "spec.json"), "--cap", "vertex"),
+    (("verify", "--graph", "J{2}(8,4)", "--spec", "spec.json"), "--cap", "vertex"),
+    (("recipe", "qkneser", "--n", "4", "--k", "2"), "--cap", "vertex"),
+    (("search", "--mode", "gm4", "--graph", "J{2}(8,4)"), "--cap", "vertex"),
+    (("spectrum", "--graph", "J{2}(8,4)"), "--cap", "vertex"),
+    (("verify", "--graph", "J{2}(8,4)", "--spec", "spec.json"), "--budget", "node"),
+    (("recipe", "qkneser", "--n", "4", "--k", "2"), "--budget", "node"),
+], ids=["build-cap", "switch-cap", "verify-cap", "recipe-cap", "search-cap",
+        "spectrum-cap", "verify-budget", "recipe-budget"])
+def test_nonpositive_cap_or_node_budget_is_usage_error(capsys, command, flag, noun, value):
+    code, out, err = run(capsys, *command, flag, value)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert f"error: argument {flag}: need at least one {noun}, got '{value}'" in err
+
+
+@pytest.mark.parametrize("content, message", [
+    ("[1, 2, 3]", "candidate triple 1 invalid for n=70"),
+    ('[["a", "b", "c"]]', "candidate triple ['a', 'b', 'c'] invalid for n=70"),
+    ('{"c1": [1, 2, 3]}', "c.json: not a JSON list of candidate triples"),
+])
+def test_search_malformed_candidates_file_is_invalid(tmp_path, capsys, content, message):
+    cands = tmp_path / "c.json"
+    cands.write_text(content)
+    code, out, err = run(capsys, "search", "--mode", "wqh33", "--graph", "J{2}(8,4)",
+                         "--candidates", str(cands))
+    assert code == cli.EXIT_INVALID_SPEC
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith(f"{message}\n")
 
 
 def test_search_stopped_by_budget_is_inconclusive(capsys):

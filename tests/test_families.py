@@ -25,8 +25,15 @@ from spectral_switch.families import (
     run_recipe,
 )
 from spectral_switch.graphcore import Graph
-from spectral_switch.schemes import SchemeParams, VertexCapExceeded
+from spectral_switch.schemes import (
+    SchemeParams,
+    VertexCapExceeded,
+    count_vertices,
+    enumerate_vertices,
+)
 from spectral_switch.switching import GmSpec, WqhSpec
+
+from oracles import rank
 
 
 def load_schema():
@@ -76,6 +83,40 @@ def test_qkneser_specs_and_witnesses_frozen(n, k, cell, witness):
     r = recipe_qkneser(n, k)
     assert r.spec == GmSpec([cell])
     assert r.witnesses == (SelectiveTriple(*witness),)
+
+
+@pytest.mark.parametrize("n, k, cell, witness", [
+    (4, 2, (0, 10, 16, 28), (24, 32, 26)),
+    (5, 2, (0, 36, 64, 120), (96, 136, 104)),
+    (6, 3, (512, 656, 960, 1240), (1232, 1376, 1236)),
+    (7, 3, (4096, 5184, 7936, 10416), (10304, 11600, 10336)),
+    (8, 4, (126976, 135680, 166656, 188976), (188960, 200128, 188968)),
+])
+def test_qkneser_vertices_span_the_docstring_generators(n, k, cell, witness):
+    """Each cell and witness index is the enumeration's vertex for the space
+    that recipe_qkneser's docstring names by generators: p1p2pi, p1p3pi,
+    p2p3pi, p4p5pi, then p1tau, p2tau, p4tau."""
+    r = recipe_qkneser(n, k)
+    assert tuple(r.spec.cells[0]) == cell
+    (w,) = r.witnesses
+    assert (w.a, w.b, w.c) == witness
+
+    def e(*idx):
+        return [int(i in idx) for i in range(1, n + 1)]
+
+    p1, p2, p3, p4, p5 = e(1), e(2), e(3), e(1, 2), e(1, 3)
+    pi = [e(i) for i in range(4, k + 2)]
+    tau = [e(4)] if k == 2 else [e(i) for i in range(k + 2, 2 * k + 1)]
+    verts = enumerate_vertices(r.params, cap=count_vertices(r.params))
+
+    def spans(i, gens):
+        return rank(list(verts[i]) + gens, 2) == rank(gens, 2) == k
+
+    # a spec's cell is sorted, so each space matches one cell vertex
+    cell_spaces = ([p1, p2] + pi, [p1, p3] + pi, [p2, p3] + pi, [p4, p5] + pi)
+    assert sorted(i for g in cell_spaces for i in cell if spans(i, g)) == list(cell)
+    for i, gens in zip(witness, ([p1] + tau, [p2] + tau, [p4] + tau)):
+        assert spans(i, gens), (i, gens)
 
 
 def test_common_neighbor_change_witness():

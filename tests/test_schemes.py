@@ -4,7 +4,6 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from spectral_switch.algebra import MatrixFq, field_table
 from spectral_switch.canon import canonical_form
 from spectral_switch.graphcore import Graph
 from spectral_switch.schemes import (
@@ -22,7 +21,7 @@ from spectral_switch.schemes import (
     johnson_rank,
 )
 
-from oracles import intersection_dim, johnson_degree_direct
+from oracles import intersection_dim, is_rref, johnson_degree_direct
 
 
 def test_parse_format_round_trip():
@@ -50,6 +49,9 @@ def test_parse_rejections():
         SchemeParams.parse("Jq{0}(4,2;q=6)")
     with pytest.raises(ValueError, match=r"'J\{1 2\}\(8,4\)': S takes integers separated by commas"):
         SchemeParams.parse("J{1 2}(8,4)")
+    for text in ("J{1,,2}(8,4)", "J{2,}(8,4)", "J{,2}(8,4)", "J{,}(8,4)"):
+        with pytest.raises(ValueError, match="S takes integers separated by commas"):
+            SchemeParams.parse(text)
     for text in ("J{1, 2}(8,4)", "J{ 1 ,2 }(8,4)"):
         assert SchemeParams.parse(text) == SchemeParams.johnson(8, 4, {1, 2})
 
@@ -105,7 +107,7 @@ def test_subspace_enumeration():
     assert len(verts) == 35
     assert len(set(verts)) == 35
     for v in verts:
-        assert MatrixFq(field_table(2), v, 4).is_rref()
+        assert is_rref(v)
         assert len(v) == 2
     assert verts[0] == ((1, 0, 0, 0), (0, 1, 0, 0))
 
@@ -171,9 +173,9 @@ def test_build_labels():
 
 def _assert_matches_intersection_dim(p: SchemeParams, pairs):
     g = build(p)
-    bases = [MatrixFq(field_table(p.q), v, p.n) for v in enumerate_vertices(p)]
+    bases = enumerate_vertices(p)
     for i, j in pairs:
-        want = i != j and intersection_dim(bases[i], bases[j]) in p.S
+        want = i != j and intersection_dim(bases[i], bases[j], p.q) in p.S
         assert g.has_edge(i, j) == want, (p.format(), i, j)
 
 

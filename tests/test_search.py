@@ -208,6 +208,9 @@ def test_wqh33_candidate_validation(j284):
         search_wqh33(j284, [(0, 1, 1)], [(2, 3, 4)], cfg)
     with pytest.raises(ValueError, match="candidate triple"):
         search_wqh33(j284, [(0, 1, 70)], [(2, 3, 4)], cfg)
+    for bad in (1, None, "abc", ("a", "b", "c"), (0, 1, 2.0), (0, 1, [2]), (-1, 1, 2)):
+        with pytest.raises(ValueError, match="candidate triple"):
+            search_wqh33(j284, [(2, 3, 4)], [(5, 6, 7), bad], cfg)
 
 
 def test_wqh33_mirrored_pairs_deduplicated():
