@@ -8,6 +8,7 @@ edge-list JSON form.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -27,6 +28,13 @@ def _mask(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def _integer(x) -> int:
+    """x as an int; TypeError for a bool (not a JSON number) or a non-integer."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is not an integer")
+    return operator.index(x)
 
 
 def _unpacked_rows(rows: Sequence[int], n: int) -> np.ndarray:
@@ -192,8 +200,8 @@ class Graph:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Graph":
         try:
-            n = int(obj["n"])
-            edges = [(int(u), int(v)) for u, v in obj["edges"]]
+            n = _integer(obj["n"])
+            edges = [(_integer(u), _integer(v)) for u, v in obj["edges"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed graph JSON: {exc}") from exc
         labels = obj.get("labels")

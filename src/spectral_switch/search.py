@@ -8,8 +8,9 @@ triples as WQH cells.  Results are deterministic given the config.
 
 The optional dedup drops identity switches and keeps the first spec in scan
 order of each isomorphism class of mate, exactly at every size: automorphism
-orbits first (components of the spec keys joined by generator images), then
-lambda-profiles, and canonical forms only where profiles agree.
+orbits first (components of the spec keys, compared up to twins, joined by
+generator images), then lambda-profiles, and canonical forms only where
+profiles agree.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import combinations, compress
 
 import numpy as np
 
-from .canon import BudgetExhaustedError, automorphism_generators
+from .canon import BudgetExhaustedError, _twin_classes, automorphism_generators
 from .certify import canonical_form, lambda_profile, vertex_lambda_colors
 from .graphcore import Graph, dense_adjacency
 from .schemes import johnson_rank, mask_of_elements
@@ -79,25 +80,35 @@ def _orbit_firsts(g: Graph, keys: list) -> list[bool]:
     """For each spec key, whether it is the first in scan order of its orbit.
 
     An automorphism maps a valid spec to one with an isomorphic mate, so one
-    mate per orbit decides the orbit.  Orbits are the components of the
-    graph joining each key to its images under the discovered generators
-    that are keys: union-find rooted at the least index, stopped at one
-    component.  A component lies inside one group orbit; one too small
-    only adds mates to compare.  The canonical search backjumps, so it
-    returns a few generators of a large group (7 on K_2(4,2), 10 on
-    J_1(11,4)), plus a transposition of each consecutive pair of twins (a
-    k-set and its complement in J_2(2k, k)).  Where the keys are not closed
-    under the group, fewer generators join fewer keys: the J_2(8,4) core
-    job's 280 keys leave 8 components, so 8 mates are switched.
+    mate per orbit decides the orbit.  Keys are compared up to twins (a
+    permutation inside a twin class is an automorphism): each cell as the
+    multiset of its vertices' twin-class representatives.  Orbits are the
+    components of the graph joining keys equal up to twins, and each key to
+    its images under the discovered generators that are keys up to twins:
+    union-find rooted at the least index, stopped at one component.  A
+    component lies inside one group orbit; one too small only adds mates to
+    compare.  The canonical search backjumps, so it returns a few generators
+    of a large group (7 on K_2(4,2), 10 on J_1(11,4)).  Where the keys are
+    not closed under the group, fewer generators join fewer keys, though the
+    J_2(8,4) core job's 280 keys form one component.
     """
     if len(keys) < 2:
         return [True] * len(keys)
     try:
         gens = automorphism_generators(g, colors=vertex_lambda_colors(g))
     except BudgetExhaustedError:
-        return [True] * len(keys)
-    index = {k: i for i, k in enumerate(keys)}
-    root = list(range(len(keys)))
+        gens = []
+    rep = list(range(g.n))
+    for members, _ in _twin_classes(g, [0] * g.n) or ():
+        for v in members:
+            rep[v] = members[0]
+    gens = [[rep[w] for w in p] for p in gens]
+
+    def up_to_twins(key, perm) -> tuple:  # perm ends at twin representatives
+        return tuple(sorted(tuple(sorted(map(perm.__getitem__, cell))) for cell in key))
+
+    index: dict = {}
+    root = [index.setdefault(up_to_twins(key, rep), i) for i, key in enumerate(keys)]
 
     def find(i: int) -> int:
         while root[i] != i:
@@ -105,12 +116,12 @@ def _orbit_firsts(g: Graph, keys: list) -> list[bool]:
             i = root[i]
         return i
 
-    left = len(keys)
-    for i, key in enumerate(keys):
+    left = len(index)
+    for i in index.values():
         if left == 1:
             break
         for p in gens:
-            j = index.get(frozenset(frozenset(p[v] for v in cell) for cell in key))
+            j = index.get(up_to_twins(keys[i], p))
             if j is not None:
                 a, b = sorted((find(i), find(j)))
                 if a != b:

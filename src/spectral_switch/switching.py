@@ -15,11 +15,9 @@ outside vertices and all of C_1 u C_2.
 
 Both operations preserve the characteristic polynomial and are involutions.
 Each is conjugation by a rational orthogonal matrix Q, block-diagonal over
-the cells and the identity elsewhere; switching_certificate checks
-Q^T A Q = A' exactly, which proves a pair cospectral without a charpoly.
-It reads the cell rows in full and compares every other row bit by bit off
-the cells, where Q is the identity: both sides are symmetric, so the cell
-rows fix the cell columns too.
+the cells and the identity elsewhere.  apply_switching returns Q^T A Q,
+formed from the cell rows alone, and switching_certificate compares it with
+a mate, which proves the pair cospectral without a charpoly.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphcore import Graph, _mask, _unpacked_rows
+from .graphcore import Graph, _bit_rows, _integer, _mask, _unpacked_rows
 
 __all__ = [
     "GmSpec",
@@ -58,7 +56,7 @@ class GmSpec:
     cells: tuple[tuple[int, ...], ...]
 
     def __init__(self, cells: Sequence[Sequence[int]]):
-        norm = tuple(tuple(sorted(int(v) for v in c)) for c in cells)
+        norm = tuple(tuple(sorted(map(_integer, c))) for c in cells)
         if not norm:
             raise InvalidSpecError("a GM spec needs at least one cell")
         seen = set()
@@ -84,8 +82,8 @@ class WqhSpec:
     c2: tuple[int, ...]
 
     def __init__(self, c1: Sequence[int], c2: Sequence[int]):
-        a = tuple(sorted(int(v) for v in c1))
-        b = tuple(sorted(int(v) for v in c2))
+        a = tuple(sorted(map(_integer, c1)))
+        b = tuple(sorted(map(_integer, c2)))
         if not a or len(a) != len(set(a)) or len(b) != len(set(b)):
             raise InvalidSpecError("cells must be nonempty and duplicate-free")
         if len(a) != len(b):
@@ -236,7 +234,7 @@ def validate(g: Graph, spec) -> ValidationReport:
 
 
 def apply_switching(g: Graph, spec, report: ValidationReport | None = None) -> Graph:
-    """The switched graph; refuses invalid specs.  A caller holding
+    """The switched graph Q^T A Q; refuses invalid specs.  A caller holding
     validate(g, spec) passes it as report, so the spec is validated once.
 
     Each block (a GM cell, or C1 u C2 of a WQH pair) swaps its edges and
@@ -245,104 +243,83 @@ def apply_switching(g: Graph, spec, report: ValidationReport | None = None) -> G
     """
     if report is None:
         report = validate(g, spec)
-    classes = report.outside_classes
-    if isinstance(spec, GmSpec):
-        kind = "GM"
-        blocks = [(c, [v for v, tags in classes.items() if tags[j] == "gm-half"])
-                  for j, c in enumerate(spec.cells)]
-    else:
-        kind = "WQH"
-        blocks = [(spec.all_vertices(),
-                   [v for v, tag in classes.items() if tag in ("full-c1", "full-c2")])]
     if not report.valid:
-        raise InvalidSpecError(
-            f"{kind} conditions fail: {report.violations[0].message}"
-            + (f" (+{len(report.violations) - 1} more)" if len(report.violations) > 1 else "")
-        )
-    rows = list(g.rows)
-    for block, switched in blocks:
-        bmask, smask = _mask(block), _mask(switched)
-        for u in block:
-            rows[u] ^= smask
-        for v in switched:
-            rows[v] ^= bmask
-    return Graph(g.n, rows, g.labels, validate=False)
+        kind = "GM" if isinstance(spec, GmSpec) else "WQH"
+        more = len(report.violations) - 1
+        raise InvalidSpecError(f"{kind} conditions fail: {report.violations[0].message}"
+                               + (f" (+{more} more)" if more else ""))
+    return Graph(g.n, _conjugate(g, spec), g.labels, validate=False)
 
 
-def _switching_blocks(spec) -> list[tuple[tuple[int, ...], np.ndarray, int]]:
-    """(vertices, P, L) for each diagonal block of the spec's Q, with Q = P / L
-    on those vertices: P = J - (m/2) I, L = m/2 on a GM cell of size m, and
-    P = [[mI - J, J], [J, mI - J]], L = m on a WQH pair of m + m vertices."""
+def _switching_matrix(spec) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """(blocks, P, L): each diagonal block's vertices, the block-diagonal
+    int64 P over them in block order and each row's scale L, so that Q = P / L
+    on the cells and Q = I elsewhere; P^T P = L^2 I, so Q is orthogonal.  A
+    GM cell of size m has P = J - (m/2) I and L = m/2; a WQH pair of m + m
+    vertices has P = [[mI - J, J], [J, mI - J]] and L = m."""
     if isinstance(spec, GmSpec):
-        out = []
-        for c in spec.cells:
-            half = len(c) // 2
-            p = np.ones((len(c), len(c)), dtype=np.int64)
-            p -= half * np.eye(len(c), dtype=np.int64)
-            out.append((c, p, half))
-        return out
+        sizes = [len(c) for c in spec.cells]
+        scale = np.repeat(np.array(sizes, dtype=np.int64) // 2, sizes)
+        block_of = np.repeat(np.arange(len(sizes)), sizes)
+        return list(spec.cells), (block_of[:, None] == block_of) - np.diag(scale), scale
     if isinstance(spec, WqhSpec):
         m = len(spec.c1)
-        j = np.ones((m, m), dtype=np.int64)
-        d = m * np.eye(m, dtype=np.int64) - j
-        return [(spec.c1 + spec.c2, np.block([[d, j], [j, d]]), m)]
+        scale = np.full(2 * m, m, dtype=np.int64)
+        side = np.arange(2 * m) < m
+        return [spec.c1 + spec.c2], np.diag(scale) - np.where(side[:, None] == side, 1, -1), scale
     raise TypeError(f"unknown spec type {type(spec).__name__}")
+
+
+def _conjugate(g: Graph, spec) -> list[int] | None:
+    """The rows of Q^T A Q for the switching matrix Q of spec and the
+    adjacency matrix A of g, or None unless it is a 0/1 matrix (then its
+    diagonal is 0: each block of the orthogonal Q keeps its trace, 0).  The
+    spec need not be valid.
+
+    Q is the identity off the cells, so Q^T A Q differs from A only in the
+    cell rows and, both being symmetric, the cell columns.  For the cell
+    rows R = A[cells, :] in exact int64, P^T R is L (Q^T A Q) off the cells
+    and (P^T R)[:, cells] P is L L^T (Q^T A Q) on them.  A scaled entry is
+    at most (3/2 m_a)(3/2 m_b) < 3 n^2 for blocks of m_a and m_b vertices,
+    inside int64 for any n < 2^30, and must be 0 or its scale.  In a 0/1
+    result a block's column at an outside vertex is kept or complemented in
+    full (see apply_switching), so one row per block shows which outside
+    rows flip the block's mask.
+    """
+    blocks, p, scale = _switching_matrix(spec)
+    cells = [v for b in blocks for v in b]
+    _check_spec_range(g, cells)
+    idx = np.array(cells)
+    old = _unpacked_rows([g.rows[v] for v in cells], g.n)
+    x = p.T @ old.astype(np.int64)
+    x[:, idx] = x[:, idx] @ p
+    new = x == scale[:, None]
+    new[:, idx] = x[:, idx] == scale[:, None] * scale
+    if np.count_nonzero(x) != np.count_nonzero(new):
+        return None
+    rows = list(g.rows)
+    at = 0
+    for b in blocks:
+        bmask = _mask(b)
+        for v in np.flatnonzero(new[at] != old[at]).tolist():
+            rows[v] ^= bmask
+        at += len(b)
+    for v, row in zip(cells, _bit_rows(new)):  # after the flips, which also hit cell rows
+        rows[v] = row
+    return rows
 
 
 def switching_certificate(g: Graph, mate: Graph, spec) -> bool:
     """True iff Q^T A Q = A' for the switching matrix Q of spec, where A and
-    A' are the adjacency matrices of g and mate; then the pair is cospectral.
-
-    Q has one block per GM cell or WQH pair (see _switching_blocks) and is
-    the identity elsewhere.  The cell rows are read in full: R = A[cells, :]
-    and R' = A'[cells, :].  Both sides of the identity are symmetric (every
-    Graph is), so the cell columns are the transposes of the cell rows and
-    need no check of their own.  Everything is checked exactly in int64,
-    each block scaled by its own L: P_a^T R[C_a, T] = L_a R'[C_a, T] off
-    the cells, P_a^T R[C_a, C_b] P_b = L_a L_b R'[C_a, C_b] on cell blocks,
-    and, where Q is the identity, bit rows compared off the cell mask.  A
-    scaled entry is at most (3/2 m_a)(3/2 m_b) < 3 n^2 for blocks of m_a and
-    m_b vertices, inside int64 for any n < 2^30.  P^T P = L^2 I holds for
-    every block by construction, and the spec constructors reject repeated
-    vertices.  Only g, mate and spec are read: the answer does not depend on
-    the spec being valid.
-    """
-    blocks = _switching_blocks(spec)
-    cells = [v for vs, _, _ in blocks for v in vs]
-    _check_spec_range(g, cells)
-    n = g.n
-    if mate.n != n:
-        return False
-    inside = _mask(cells)
-    off = ((1 << n) - 1) ^ inside
-    for v, (a, b) in enumerate(zip(g.rows, mate.rows)):
-        if (a ^ b) & off and not (inside >> v) & 1:
-            return False
-    idx = np.array(cells)
-    out = np.ones(n, dtype=bool)
-    out[idx] = False
-
-    # R = A[cells, :] and R' = A'[cells, :]
-    r, rm = (_unpacked_rows([h.rows[v] for v in cells], n).astype(np.int64)
-             for h in (g, mate))
-    starts = np.cumsum([0] + [len(p) for _, p, _ in blocks])
-    slices = [slice(a, b) for a, b in zip(starts, starts[1:])]
-    scales = np.repeat([s for _, _, s in blocks], np.diff(starts))
-    # L_b (R Q) on each block's cell columns
-    rq = np.empty((len(cells), len(cells)), dtype=np.int64)
-    for sl, (_, p, _) in zip(slices, blocks):
-        rq[:, sl] = r[:, idx[sl]] @ p
-    # L_a (Q^T A) off the cells, and L_a L_b (Q^T A Q) on cell blocks
-    for sl, (_, p, scale) in zip(slices, blocks):
-        if not np.array_equal(p.T @ r[sl][:, out], scale * rm[sl][:, out]):
-            return False
-        if not np.array_equal(p.T @ rq[sl], scale * scales * rm[sl][:, idx]):
-            return False
-    return True
+    A' are the adjacency matrices of g and mate; then the pair is cospectral,
+    whether or not the spec is valid."""
+    return mate.n == g.n and _conjugate(g, spec) == list(mate.rows)
 
 
 def _resolve_vertices(entries, g: Graph | None):
     """Map a JSON cell (indices or label strings) to vertex indices."""
+    if not isinstance(entries, list):
+        raise ValueError(f"a spec cell must be a list, got {entries!r}")
     out = []
     label_index = None
     for e in entries:
@@ -351,12 +328,14 @@ def _resolve_vertices(entries, g: Graph | None):
                 raise ValueError(f"label {e!r} in spec but no labeled graph to resolve it")
             if label_index is None:
                 label_index = {s: i for i, s in enumerate(g.labels)}
-            try:
-                out.append(label_index[e])
-            except KeyError:
-                raise ValueError(f"label {e!r} not found in graph") from None
+            if e not in label_index:
+                raise ValueError(f"label {e!r} not found in graph")
+            out.append(label_index[e])
         else:
-            out.append(int(e))
+            try:
+                out.append(_integer(e))
+            except TypeError:
+                raise ValueError(f"spec vertex {e!r} is not an integer") from None
     return out
 
 
@@ -373,7 +352,8 @@ def spec_from_json_dict(obj: dict, g: Graph | None = None):
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError("spec JSON must be an object with exactly one of 'gm', 'wqh'")
     if "gm" in obj:
-        cells = obj["gm"].get("cells")
+        body = obj["gm"]
+        cells = body.get("cells") if isinstance(body, dict) else None
         if not isinstance(cells, list):
             raise ValueError("gm spec needs a 'cells' list")
         return GmSpec([_resolve_vertices(c, g) for c in cells])

@@ -390,6 +390,58 @@ def is_rref(rows) -> bool:
     return all(sum(1 for row in rows if row[j]) == 1 for j in pivots)
 
 
+def apply_switching_reference(g, spec):
+    """The switch as tags and XORs: each block (a GM cell, or C1 u C2 of a
+    WQH pair) swaps its edges and non-edges with the outside vertices that
+    validate tagged as switched against it, "gm-half" for that cell, or
+    "full-c1" and "full-c2".  The construction before apply_switching
+    became Q^T A Q."""
+    from spectral_switch.graphcore import Graph, _mask
+    from spectral_switch.switching import GmSpec, validate
+
+    report = validate(g, spec)
+    assert report.valid, report.violations[:1]
+    classes = report.outside_classes
+    if isinstance(spec, GmSpec):
+        blocks = [(c, [v for v, tags in classes.items() if tags[j] == "gm-half"])
+                  for j, c in enumerate(spec.cells)]
+    else:
+        blocks = [(spec.all_vertices(),
+                   [v for v, tag in classes.items() if tag in ("full-c1", "full-c2")])]
+    rows = list(g.rows)
+    for block, switched in blocks:
+        bmask, smask = _mask(block), _mask(switched)
+        for u in block:
+            rows[u] ^= smask
+        for v in switched:
+            rows[v] ^= bmask
+    return Graph(g.n, rows, g.labels, validate=False)
+
+
+def switching_blocks_reference(spec) -> list:
+    """(vertices, P, L) for each diagonal block of the spec's Q, with
+    Q = P / L on those vertices: P = J - (m/2) I, L = m/2 on a GM cell of
+    size m, and P = [[mI - J, J], [J, mI - J]], L = m on a WQH pair of
+    m + m vertices.  Built block by block, where the package builds one
+    block-diagonal P."""
+    import numpy as np
+
+    from spectral_switch.switching import GmSpec
+
+    if isinstance(spec, GmSpec):
+        out = []
+        for c in spec.cells:
+            half = len(c) // 2
+            p = np.ones((len(c), len(c)), dtype=np.int64)
+            p -= half * np.eye(len(c), dtype=np.int64)
+            out.append((c, p, half))
+        return out
+    m = len(spec.c1)
+    j = np.ones((m, m), dtype=np.int64)
+    d = m * np.eye(m, dtype=np.int64) - j
+    return [(spec.c1 + spec.c2, np.block([[d, j], [j, d]]), m)]
+
+
 def switching_certificate_reference(g, mate, spec) -> bool:
     """Q^T A Q = A' checked on both the rows and the columns that meet the
     cells, with P^T P = L^2 I checked per block and repeated cell vertices
@@ -397,9 +449,9 @@ def switching_certificate_reference(g, mate, spec) -> bool:
     import numpy as np
 
     from spectral_switch.graphcore import _mask, dense_adjacency
-    from spectral_switch.switching import _check_spec_range, _switching_blocks
+    from spectral_switch.switching import _check_spec_range
 
-    blocks = _switching_blocks(spec)
+    blocks = switching_blocks_reference(spec)
     cells = [v for vs, _, _ in blocks for v in vs]
     _check_spec_range(g, cells)
     n = g.n

@@ -163,6 +163,35 @@ def test_switch_malformed_spec_file(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize("body, message", [
+    ('{"gm": 5}', "gm spec needs a 'cells' list"),
+    ('{"wqh": {"c1": [1,2,3], "c2": 5}}', "a spec cell must be a list"),
+    ('{"gm": {"cells": [5]}}', "a spec cell must be a list"),
+    ('{"gm": {"cells": [[null, 2]]}}', "spec vertex None is not an integer"),
+    ('{"gm": {"cells": [[0.9, 1.2], [2, 3]]}}', "spec vertex 0.9 is not an integer"),
+    ('{"gm": {"cells": [[true, 2]]}}', "spec vertex True is not an integer"),
+])
+def test_malformed_spec_body_is_invalid(tmp_path, capsys, body, message):
+    """A spec file of the wrong shape exits 2 with a message, neither with a
+    traceback nor after reading float or bool entries as other vertices."""
+    path = tmp_path / "spec.json"
+    path.write_text(body)
+    for command in ("switch", "verify"):
+        code, out, err = run(capsys, command, "--graph", "J{2}(8,4)", "--spec", str(path))
+        assert (code, out) == (cli.EXIT_INVALID_SPEC, "") and message in err
+
+
+@pytest.mark.parametrize("body", [
+    '{"n": 3, "edges": [[0.5, 1.7]]}',
+    '{"n": 3.9, "edges": []}',
+])
+def test_graph_json_with_non_integers_is_malformed(tmp_path, capsys, body):
+    path = tmp_path / "g.json"
+    path.write_text(body)
+    code, out, err = run(capsys, "spectrum", "--graph", str(path))
+    assert (code, out) == (cli.EXIT_USAGE, "") and "malformed graph JSON" in err
+
+
 def test_verify_passing(tmp_path, capsys):
     spec_path = write_spec(tmp_path, recipe_j2n4(8).spec)
     report_path = tmp_path / "report.json"

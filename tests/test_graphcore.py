@@ -116,6 +116,20 @@ def test_json_round_trip():
         Graph.from_json_dict({"edges": []})
 
 
+@pytest.mark.parametrize("obj", [
+    {"n": 3, "edges": [[0.5, 1.7]]},
+    {"n": 3, "edges": [[0, 2.0]]},
+    {"n": 3.9, "edges": []},
+    {"n": True, "edges": []},
+    {"n": 3, "edges": [[False, 1]]},
+])
+def test_json_takes_integers_only(obj):
+    """A float or a bool where n or an edge endpoint belongs is malformed,
+    not truncated to an integer."""
+    with pytest.raises(ValueError, match="^malformed graph JSON: "):
+        Graph.from_json_dict(obj)
+
+
 # -- graph6 ----------------------------------------------------------------
 
 def test_graph6_frozen_values():

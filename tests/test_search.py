@@ -304,15 +304,38 @@ def _cycles(n, *cycles):
 def test_orbits_are_components_of_generator_images(monkeypatch):
     """Keys a, b, c: one generator maps a to c and another b to c, and no
     generator maps a key back.  One orbit, whose first key is a; an image
-    that is not a key joins nothing."""
+    that is not a key joins nothing.  The path on 10 vertices has no twins,
+    so only the generators join keys."""
     a, b, c = (frozenset([frozenset(cell)]) for cell in ((0, 1), (2, 3), (4, 5)))
     gens = [_cycles(10, (0, 4, 6), (1, 5, 7)), _cycles(10, (2, 4, 8), (3, 5, 9))]
     monkeypatch.setattr(search, "automorphism_generators", lambda g, colors: gens)
-    g = Graph(10, [0] * 10)
+    g = Graph.from_edges(10, [(v, v + 1) for v in range(9)])
     assert search._orbit_firsts(g, [a, b, c]) == [True, False, False]
     assert search._orbit_firsts(g, [c, b, a]) == [True, False, False]
     # without c, a and b reach only themselves and images outside the keys
     assert search._orbit_firsts(g, [a, b]) == [True, True]
+
+
+def test_keys_equal_up_to_twins_are_joined_without_generators(monkeypatch):
+    """In K_{2,3} plus an isolated vertex 5, {0, 1} and {2, 3, 4} are twin
+    classes.  With no generators, keys whose cells hold the same number of
+    each class's vertices are joined, and no others."""
+    monkeypatch.setattr(search, "automorphism_generators", lambda g, colors: [])
+    g = Graph.from_edges(6, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
+    keys = [frozenset(frozenset(c) for c in key) for key in (
+        [(0, 2)], [(1, 3)], [(0, 1)], [(2, 3)], [(3, 4)], [(0, 5)],
+        [(0, 2), (1, 3)], [(0, 3), (1, 4)], [(0, 1), (2, 3)])]
+    assert search._orbit_firsts(g, keys) == [
+        True, False, True, True, False, True, True, False, True]
+
+
+def test_j2_8_4_core_keys_form_one_orbit(j284):
+    """Up to twins (a 4-set and its complement), the generators join all 280
+    specs of the J_2(8,4) core scan, so the dedup switches one mate."""
+    cands = johnson_core_triples(8, 4)
+    raw = search_wqh33(j284, cands, cands, SearchConfig(mode="wqh33", dedup=False)).specs
+    assert len(raw) == 280
+    assert sum(search._orbit_firsts(j284, [search._spec_key(s) for s in raw])) == 1
 
 
 def test_j2_8_4_core_dedup_searches_the_twin_quotient(j284, monkeypatch):

@@ -9,12 +9,14 @@ import pytest
 from spectral_switch.families import recipe_halfrange_2kk, recipe_j2n4, recipe_qkneser
 from spectral_switch.graphcore import Graph
 from spectral_switch.schemes import build
+from spectral_switch.search import SearchConfig, johnson_core_triples, search_gm4, search_wqh33
 from spectral_switch.spectra import charpoly_mod_p, cospectral
 from spectral_switch.switching import (
     GmSpec,
     InvalidSpecError,
     WqhSpec,
-    _switching_blocks,
+    _conjugate,
+    _switching_matrix,
     apply_switching,
     spec_from_json_dict,
     spec_to_json_dict,
@@ -22,7 +24,7 @@ from spectral_switch.switching import (
     validate,
 )
 
-from oracles import switching_certificate_reference
+from oracles import apply_switching_reference, switching_certificate_reference
 
 
 def test_gm_spec_constructor_rejections():
@@ -38,6 +40,10 @@ def test_gm_spec_constructor_rejections():
         GmSpec([])
     with pytest.raises(InvalidSpecError):
         GmSpec([[]])
+    assert GmSpec([np.arange(4)]).cells == ((0, 1, 2, 3),)
+    for bad in (0.5, 1.0, True, None, "1"):
+        with pytest.raises(TypeError):
+            GmSpec([[bad, 2]])
 
 
 def test_wqh_spec_constructor_rejections():
@@ -48,6 +54,9 @@ def test_wqh_spec_constructor_rejections():
         WqhSpec([0, 1], [1, 2])
     with pytest.raises(InvalidSpecError):
         WqhSpec([], [])
+    for bad in (2.0, False):
+        with pytest.raises(TypeError):
+            WqhSpec([0, 1, bad], [3, 4, 5])
 
 
 def test_recipe_specs_validate_cleanly(corpus_reports):
@@ -85,6 +94,17 @@ def test_gm_switch_hand_example():
     assert mate.has_edge(2, 4) and mate.has_edge(3, 4)
     assert not mate.has_edge(0, 4) and not mate.has_edge(1, 4)
     assert mate.has_edge(0, 1) and mate.has_edge(2, 3)  # inside untouched
+
+
+def test_gm_switch_flips_each_cell_apart():
+    # cells {0,1} and {2,3}; vertex 4 sees half of the first and all of the
+    # second, so only its edges to the first cell switch
+    g = Graph.from_edges(5, [(0, 4), (2, 4), (3, 4)])
+    spec = GmSpec([[0, 1], [2, 3]])
+    mate = apply_switching(g, spec)
+    assert sorted(mate.neighbors(4)) == [1, 2, 3]
+    assert mate == apply_switching_reference(g, spec)
+    assert switching_certificate(g, mate, spec)
 
 
 def test_wqh_switch_hand_example():
@@ -157,6 +177,7 @@ def test_planted_gm_cells_randomized():
         report = validate(g, spec)
         assert report.valid
         mate = apply_switching(g, spec)
+        assert mate == apply_switching_reference(g, spec)
         assert apply_switching(mate, spec) == g
         assert charpoly_mod_p(g, p) == charpoly_mod_p(mate, p)
         assert switching_certificate(g, mate, spec)
@@ -221,13 +242,43 @@ def test_certificate_matches_reference_on_toggled_mates(recipe_pairs):
 
 def test_switching_blocks_are_scaled_orthogonal():
     """P^T P = L^2 I for GM cells of every even size up to 64 and WQH pairs
-    of every size up to 32, so the certificate need not check it."""
+    of every size up to 32, so the certificate need not check it; P is
+    block-diagonal over the cells, with one scale per block."""
     specs = [GmSpec([range(m)]) for m in range(2, 65, 2)]
     specs += [WqhSpec(range(m), range(m, 2 * m)) for m in range(1, 33)]
+    specs.append(GmSpec([range(2), range(2, 8)]))
     for spec in specs:
-        ((vertices, p, scale),) = _switching_blocks(spec)
-        assert p.shape == (len(vertices), len(vertices))
-        assert (p.T @ p == scale * scale * np.eye(len(p), dtype=np.int64)).all(), spec
+        blocks, p, scale = _switching_matrix(spec)
+        assert [v for b in blocks for v in b] == list(spec.all_vertices())
+        assert p.shape == (len(scale), len(scale))
+        assert (p.T @ p == np.diag(scale * scale)).all(), spec
+    assert (p[:2, 2:] == 0).all() and list(scale) == [1, 1, 3, 3, 3, 3, 3, 3]
+
+
+def test_apply_switching_matches_tag_and_xor_reference(recipe_pairs, halfrange7, k242, j284):
+    """Q^T A Q equals the switch by validate's tags, rows and labels, on the
+    recipe pairs, halfrange(7) and every raw spec of the K_2(4,2) gm4 scan
+    and the J_2(8,4) core scan."""
+    cases = [(g, spec) for g, _, spec in (*recipe_pairs.values(), halfrange7)]
+    cases += [(k242, s) for s in search_gm4(k242, SearchConfig(dedup=False)).specs]
+    core = johnson_core_triples(8, 4)
+    cfg = SearchConfig(mode="wqh33", dedup=False)
+    cases += [(j284, s) for s in search_wqh33(j284, core, core, cfg).specs]
+    assert len(cases) == 11 + 1 + 840 + 280
+    for g, spec in cases:
+        assert apply_switching(g, spec) == apply_switching_reference(g, spec), spec
+
+
+def test_certificate_refuses_a_conjugate_that_is_not_0_1():
+    """Vertex 4 sees 1 of the 4-cell, so its entries of Q^T A Q on the cell
+    are J/2 - e_0 = (-1/2, 1/2, 1/2, 1/2): no graph is the mate."""
+    g = Graph.from_edges(5, [(0, 4), (0, 1), (2, 3)])
+    spec = GmSpec([[0, 1, 2, 3]])
+    assert not validate(g, spec).valid
+    assert _conjugate(g, spec) is None
+    for mate in (g, Graph.from_edges(5, [(1, 4), (2, 4), (3, 4), (0, 1), (2, 3)])):
+        assert not switching_certificate(g, mate, spec)
+        assert not switching_certificate_reference(g, mate, spec)
 
 
 @pytest.mark.parametrize("name", ["j2n4(n=8)", "qkneser(n=4,k=2)"])
@@ -265,16 +316,22 @@ def test_certificate_exact_with_coprime_cell_sizes(complete):
     assert switching_certificate(g, mate, spec)
 
 
-def test_certificate_reads_only_the_cell_rows():
+@pytest.fixture(scope="module")
+def halfrange7():
+    """(graph, mate, spec) of halfrange(7)."""
+    r = recipe_halfrange_2kk(7)
+    g = build(r.params)
+    return g, apply_switching(g, r.spec), r.spec
+
+
+def test_certificate_reads_only_the_cell_rows(halfrange7):
     """One certificate call on halfrange(7) (n = 3432, 16 cell vertices)
     peaks below 2.5 MiB: it packs the cell rows, not all n rows of each
     graph (n * ceil(n/8) bytes, 1.4 MiB per graph)."""
-    r = recipe_halfrange_2kk(7)
-    g = build(r.params)
-    mate = apply_switching(g, r.spec)
+    g, mate, spec = halfrange7
     tracemalloc.start()
     try:
-        assert switching_certificate(g, mate, r.spec)
+        assert switching_certificate(g, mate, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -308,3 +365,21 @@ def test_spec_json_label_resolution():
         spec_from_json_dict({"gm": {"cells": [["{9,9}", "{3,4}"]]}}, g)
     with pytest.raises(ValueError, match="no labeled graph"):
         spec_from_json_dict(d)
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"gm": 5}, "gm spec needs a 'cells' list"),
+    ({"gm": {"cells": 5}}, "gm spec needs a 'cells' list"),
+    ({"wqh": {"c1": [1, 2, 3], "c2": 5}}, "a spec cell must be a list, got 5"),
+    ({"gm": {"cells": [5]}}, "a spec cell must be a list, got 5"),
+    ({"gm": {"cells": [[None, 2]]}}, "spec vertex None is not an integer"),
+    ({"gm": {"cells": [[0.9, 1.2], [2, 3]]}}, "spec vertex 0.9 is not an integer"),
+    ({"gm": {"cells": [[True, 2]]}}, "spec vertex True is not an integer"),
+    ({"wqh": {"c1": [0, 1, 2.0], "c2": [3, 4, 5]}}, "spec vertex 2.0 is not an integer"),
+])
+def test_spec_json_malformed_body(obj, message):
+    """A spec body of the wrong shape, or a cell entry that is neither an
+    integer nor a label, is a ValueError naming it, not a TypeError or a
+    truncated index."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        spec_from_json_dict(obj)
