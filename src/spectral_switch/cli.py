@@ -90,9 +90,18 @@ def _at_least_one(noun: str):
     return count
 
 
+def _check_file_cap(src: str, n, cap: int) -> None:
+    """VertexCapExceeded naming the file when its vertex count n passes cap."""
+    if type(n) is int and n > cap:
+        exc = VertexCapExceeded(n, cap)
+        exc.args = (f"{src}: graph has {n} vertices, exceeding the cap {cap}",)
+        raise exc
+
+
 def _load_graph(src: str, cap: int) -> Graph:
     """A scheme string's graph, or a graph6 or JSON file's.  A string in the
-    scheme grammar whose values are invalid raises SchemeParams' ValueError."""
+    scheme grammar whose values are invalid raises SchemeParams' ValueError.
+    A JSON file's n meets the cap before any row is built."""
     if _PARAM_RE.match(src.strip()):
         return build(SchemeParams.parse(src), cap)
     if not os.path.exists(src):
@@ -105,13 +114,17 @@ def _load_graph(src: str, cap: int) -> Graph:
     stripped = data.lstrip()
     if stripped.startswith(b"{"):
         try:
-            return Graph.from_json_dict(json.loads(data))
+            obj = json.loads(data)
+            _check_file_cap(src, obj.get("n"), cap)
+            return Graph.from_json_dict(obj)
         except ValueError as exc:
             raise CliError(EXIT_USAGE, f"{src}: {exc}")
     try:
-        return decode_graph6(data.splitlines()[0] if data else data)
+        g = decode_graph6(data.splitlines()[0] if data else data)
     except Graph6ParseError as exc:
         raise CliError(EXIT_USAGE, f"{src}: {exc}")
+    _check_file_cap(src, g.n, cap)
+    return g
 
 
 def _write_graph(g: Graph, path: str, fmt: str) -> None:
@@ -171,7 +184,7 @@ def cmd_switch(args) -> int:
             print(f"violation {violation.condition}: {violation.message}", file=sys.stderr)
         raise CliError(EXIT_INVALID_SPEC,
                        f"spec fails {len(report.violations)} condition(s)")
-    mate = apply_switching(g, spec, report)
+    mate = apply_switching(g, spec)
     if args.out:
         _write_graph(mate, args.out, args.format)
     print(_stats_line(mate))
@@ -192,7 +205,7 @@ def cmd_verify(args) -> int:
     if not report.valid:
         _emit_report(out, args.report)
         return EXIT_INVALID_SPEC
-    mate = apply_switching(g, spec, report)
+    mate = apply_switching(g, spec)
     cv = cospectral(g, mate, num_primes=args.primes, seed=args.seed, spec=spec)
     nv = nonisomorphic(g, mate, args.budget)
     out["cospectral"] = cv.to_json_dict()

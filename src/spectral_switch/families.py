@@ -412,7 +412,7 @@ def run_recipe(r: Recipe, num_primes: int = 3, seed: int = 0,
         if not report.valid:
             raise ValueError(report.violations[0].message)
         stage = "switch"
-        mate = apply_switching(g, r.spec, report)
+        mate = apply_switching(g, r.spec)
         stage = "cospectral"
         cv = cospectral(g, mate, num_primes=num_primes, seed=seed, spec=r.spec)
         stage = "witnesses"

@@ -70,7 +70,7 @@ class Graph:
                  validate: bool = True):
         if n < 0:
             raise ValueError("n must be >= 0")
-        rows = tuple(int(r) for r in rows)
+        rows = tuple(map(_integer, rows))
         if len(rows) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
         if labels is not None:
@@ -101,7 +101,7 @@ class Graph:
                    labels: Sequence[str] | None = None) -> "Graph":
         rows = [0] * n
         for u, v in edges:
-            u, v = int(u), int(v)
+            u, v = _integer(u), _integer(v)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -202,9 +202,12 @@ class Graph:
         try:
             n = _integer(obj["n"])
             edges = [(_integer(u), _integer(v)) for u, v in obj["edges"]]
+            labels = obj.get("labels")
+            if labels is not None and not (isinstance(labels, list) and len(labels) == n
+                                           and all(isinstance(s, str) for s in labels)):
+                raise ValueError(f"labels must be null or a list of {n} strings")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed graph JSON: {exc}") from exc
-        labels = obj.get("labels")
         return cls.from_edges(n, edges, labels)
 
 

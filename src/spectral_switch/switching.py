@@ -1,28 +1,37 @@
 """Godsil-McKay and WQH switching: validation, classification, application.
 
-A GM spec is a family of disjoint even cells C_1..C_t; the graph must induce
-a constant number of neighbors from each cell into each cell (per vertex of
-the source cell), and every outside vertex must see 0, half, or all of each
-cell.  Switching complements the adjacency between each cell and its
-half-seeing outside vertices.
+Each switch is an involution A -> Q^T A Q for a rational orthogonal Q,
+block-diagonal over the cells and the identity elsewhere, so it keeps the
+characteristic polynomial.  apply_switching and switching_certificate form
+Q^T A Q from the cell rows alone, and the validators read only those rows
+too: v's count in a cell is a column sum of the cell rows, since A is
+symmetric.  A spec is valid exactly when Q^T A Q is a 0/1 matrix that
+agrees with A on the cells, so apply_switching checks that instead of
+validating:
 
-A WQH spec is a pair of disjoint equal-size cells C_1, C_2 such that one
-global constant c equals (neighbors in own cell) - (neighbors in the other
-cell) for every vertex of C_1 u C_2, and every outside vertex either sees
-all of C_1 and none of C_2, or none of C_1 and all of C_2, or equally many
-in both.  Switching complements the adjacency between the first two kinds of
-outside vertices and all of C_1 u C_2.
-
-Both operations preserve the characteristic polynomial and are involutions.
-Each is conjugation by a rational orthogonal matrix Q, block-diagonal over
-the cells and the identity elsewhere.  apply_switching returns Q^T A Q,
-formed from the cell rows alone, and switching_certificate compares it with
-a mate, which proves the pair cospectral without a charpoly.
+- GM: disjoint even cells C_1..C_t, Q_i = (2/m_i) J - I on a cell of size
+  m_i.  An outside column a with c neighbors in C_i maps to (2c/m_i) 1 - a:
+  0/1 exactly when c is 0, m_i/2 or m_i (condition ii), where it is a, its
+  complement or a.  A cell block B = A[C_i, C_j] with row sums r and column
+  sums c maps to B_uw - 2 r_u/m_j - 2 c_w/m_i + 4|B|/(m_i m_j), so it is
+  fixed exactly when r_u/m_j + c_w/m_i is the same for every (u, w): when
+  each vertex of C_i has the same count in C_j and each of C_j the same in
+  C_i (condition i, over both ordered pairs).
+- WQH: two disjoint cells of size m, Q = I - d d^T/m with d = 1_C1 - 1_C2,
+  a reflection.  An outside column with n1 neighbors in C1 and n2 in C2 maps
+  to a - ((n1 - n2)/m) d: 0/1 exactly when (n1, n2) is (m, 0) or (0, m),
+  where it is complemented, or n1 = n2, where it is kept (condition iii).
+  The block on C1 u C2 is fixed exactly when it commutes with the
+  reflection, B d = c d: own minus other neighbors is one constant c at
+  every cell vertex (condition ii).
+- 0/1 alone is not enough: with the single edge 0-2 on 4 vertices,
+  GmSpec([[0, 1], [2, 3]]) fails condition i, yet Q swaps 0 with 1 and 2
+  with 3, and Q^T A Q is the 0/1 matrix of the edge 1-3.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -105,12 +114,7 @@ class Violation:
     cell: int | None = None
 
     def to_json_dict(self) -> dict:
-        out = {"condition": self.condition, "message": self.message}
-        if self.vertex is not None:
-            out["vertex"] = self.vertex
-        if self.cell is not None:
-            out["cell"] = self.cell
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 @dataclass(frozen=True)
@@ -127,10 +131,8 @@ class ValidationReport:
         }
         if self.wqh_constant is not None:
             out["wqh_constant"] = self.wqh_constant
-        classes = {}
-        for v, tag in self.outside_classes.items():
-            classes[str(v)] = list(tag) if isinstance(tag, tuple) else tag
-        out["outside_classes"] = classes
+        out["outside_classes"] = {str(v): list(tag) if isinstance(tag, tuple) else tag
+                                  for v, tag in self.outside_classes.items()}
         return out
 
 
@@ -140,89 +142,65 @@ def _check_spec_range(g: Graph, vertices) -> None:
             raise InvalidSpecError(f"spec vertex {v} out of range for n={g.n}")
 
 
+def _cell_counts(g: Graph, cells) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(counts, out, outside): counts[j, v] = |N(v) & cells[j]|, a column sum
+    of the cell rows; out, its columns at the vertices in no cell; and those
+    vertices in order."""
+    flat = [v for c in cells for v in c]
+    _check_spec_range(g, sorted(flat))
+    counts = np.array([_unpacked_rows([g.rows[v] for v in c], g.n).sum(axis=0, dtype=np.int64)
+                       for c in cells])
+    outside = np.ones(g.n, dtype=bool)
+    outside[flat] = False
+    return counts, counts[:, outside], np.flatnonzero(outside).tolist()
+
+
+# outside tags by code: 0, all, half or another count of a cell's vertices
+_GM_TAGS = np.array(["gm-zero", "gm-full", "gm-half", None], dtype=object)
+
+
 def validate_gm(g: Graph, spec: GmSpec) -> ValidationReport:
     """Check both GM conditions; never raises on a merely-invalid spec."""
-    _check_spec_range(g, spec.all_vertices())
-    rows = g.rows
-    cmasks = [_mask(c) for c in spec.cells]
-    inside = _mask(spec.all_vertices())
+    counts, out, outside = _cell_counts(g, spec.cells)
     violations = []
     for i, ci in enumerate(spec.cells):
-        for j, mj in enumerate(cmasks):
-            counts = {(rows[v] & mj).bit_count() for v in ci}
-            if len(counts) > 1:
-                violations.append(Violation(
-                    "gm-i",
-                    f"vertices of cell {i} have {sorted(counts)} neighbors in cell {j}",
-                    cell=i,
-                ))
-    outside_classes = {}
-    for v in range(g.n):
-        if (inside >> v) & 1:
-            continue
-        tags = []
-        for j, (cj, mj) in enumerate(zip(spec.cells, cmasks)):
-            cnt = (rows[v] & mj).bit_count()
-            size = len(cj)
-            if cnt == 0:
-                tags.append("gm-zero")
-            elif cnt == size:
-                tags.append("gm-full")
-            elif 2 * cnt == size:
-                tags.append("gm-half")
-            else:
-                tags.append(None)
-                violations.append(Violation(
-                    "gm-ii",
-                    f"vertex {v} has {cnt} neighbors in cell {j} of size {size}",
-                    vertex=v,
-                    cell=j,
-                ))
-        outside_classes[v] = tuple(tags)
-    return ValidationReport(not violations, tuple(violations), None, outside_classes)
+        for j, seen in enumerate(counts[:, list(ci)].tolist()):
+            if len(set(seen)) > 1:
+                violations.append(Violation("gm-i", f"vertices of cell {i} have "
+                                            f"{sorted(set(seen))} neighbors in cell {j}", cell=i))
+    sizes = np.array([len(c) for c in spec.cells])[:, None]
+    code = np.select([out == 0, out == sizes, 2 * out == sizes], [0, 1, 2], 3)
+    for at, j in np.argwhere(code.T == 3).tolist():
+        violations.append(Violation("gm-ii", f"vertex {outside[at]} has {out[j, at]} neighbors "
+                                    f"in cell {j} of size {sizes[j, 0]}", outside[at], j))
+    tags = zip(*_GM_TAGS[code].tolist())
+    return ValidationReport(not violations, tuple(violations), None, dict(zip(outside, tags)))
+
+
+# outside tags by code: all of C1 and none of C2, the reverse, or as many of each
+_WQH_TAGS = np.array(["full-c1", "full-c2", "balanced", None], dtype=object)
 
 
 def validate_wqh(g: Graph, spec: WqhSpec) -> ValidationReport:
     """Check the WQH constant and outside classes."""
-    _check_spec_range(g, spec.all_vertices())
-    rows = g.rows
-    m1, m2 = _mask(spec.c1), _mask(spec.c2)
-    inside = m1 | m2
+    counts, (n1, n2), outside = _cell_counts(g, (spec.c1, spec.c2))
     violations = []
-    c = None
-    for own, other, cell in ((m1, m2, spec.c1), (m2, m1, spec.c2)):
-        for v in cell:
-            d = (rows[v] & own).bit_count() - (rows[v] & other).bit_count()
-            if c is None:
-                c = d
-            elif d != c:
-                violations.append(Violation(
-                    "wqh-ii",
-                    f"vertex {v} has own-minus-other neighbor difference {d}, expected {c}",
-                    vertex=v,
-                ))
-    size = len(spec.c1)
-    outside_classes = {}
-    for v in range(g.n):
-        if (inside >> v) & 1:
-            continue
-        n1 = (rows[v] & m1).bit_count()
-        n2 = (rows[v] & m2).bit_count()
-        if n1 == size and n2 == 0:
-            tag = "full-c1"
-        elif n1 == 0 and n2 == size:
-            tag = "full-c2"
-        elif n1 == n2:
-            tag = "balanced"
-        else:
-            tag = None
-            violations.append(Violation(
-                "wqh-iii",
-                f"vertex {v} has ({n1},{n2}) neighbors in (C1,C2) of size {size}",
-                vertex=v,
-            ))
-        outside_classes[v] = tag
-    return ValidationReport(not violations, tuple(violations), c, outside_classes)
+    size, cells = len(spec.c1), spec.c1 + spec.c2
+    diffs = ((counts[0] - counts[1])[list(cells)] * np.repeat([1, -1], size)).tolist()
+    c = diffs[0]
+    for v, d in zip(cells, diffs):
+        if d != c:
+            violations.append(Violation("wqh-ii", f"vertex {v} has own-minus-other neighbor "
+                                        f"difference {d}, expected {c}", v))
+    table = np.full((size + 1, size + 1), 3)  # the code of each count pair
+    np.fill_diagonal(table, 2)
+    table[size, 0], table[0, size] = 0, 1
+    code = table[n1, n2]
+    for at in np.flatnonzero(code == 3).tolist():
+        violations.append(Violation("wqh-iii", f"vertex {outside[at]} has ({n1[at]},{n2[at]}) "
+                                    f"neighbors in (C1,C2) of size {size}", outside[at]))
+    tags = _WQH_TAGS[code].tolist()
+    return ValidationReport(not violations, tuple(violations), c, dict(zip(outside, tags)))
 
 
 def validate(g: Graph, spec) -> ValidationReport:
@@ -233,22 +211,19 @@ def validate(g: Graph, spec) -> ValidationReport:
     raise TypeError(f"unknown spec type {type(spec).__name__}")
 
 
-def apply_switching(g: Graph, spec, report: ValidationReport | None = None) -> Graph:
-    """The switched graph Q^T A Q; refuses invalid specs.  A caller holding
-    validate(g, spec) passes it as report, so the spec is validated once.
-
-    Each block (a GM cell, or C1 u C2 of a WQH pair) swaps its edges and
-    non-edges with the outside vertices switched against it: those seeing
-    half of that GM cell, or all of C1 or all of C2.
-    """
-    if report is None:
+def apply_switching(g: Graph, spec) -> Graph:
+    """The switched graph Q^T A Q; refuses an invalid spec, calling validate
+    only then, to name its first violation."""
+    delta = _conjugate(g, spec)
+    cells = spec.all_vertices()
+    inside = _mask(cells)
+    if delta is None or any(delta[v] & inside for v in cells):
         report = validate(g, spec)
-    if not report.valid:
         kind = "GM" if isinstance(spec, GmSpec) else "WQH"
         more = len(report.violations) - 1
         raise InvalidSpecError(f"{kind} conditions fail: {report.violations[0].message}"
                                + (f" (+{more} more)" if more else ""))
-    return Graph(g.n, _conjugate(g, spec), g.labels, validate=False)
+    return Graph(g.n, _switched_rows(g, delta), g.labels, validate=False)
 
 
 def _switching_matrix(spec) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
@@ -270,25 +245,22 @@ def _switching_matrix(spec) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarr
     raise TypeError(f"unknown spec type {type(spec).__name__}")
 
 
-def _conjugate(g: Graph, spec) -> list[int] | None:
-    """The rows of Q^T A Q for the switching matrix Q of spec and the
-    adjacency matrix A of g, or None unless it is a 0/1 matrix (then its
-    diagonal is 0: each block of the orthogonal Q keeps its trace, 0).  The
-    spec need not be valid.
+def _conjugate(g: Graph, spec) -> dict[int, int] | None:
+    """Q^T A Q for the switching matrix Q of spec and the adjacency matrix A
+    of g, as {v: row v of Q^T A Q XOR row v of A} for the cell vertices and
+    the outside vertices whose rows change; None unless Q^T A Q is a 0/1
+    matrix (then its diagonal is 0: each block of Q keeps its trace, 0).
+    The spec need not be valid.
 
-    Q is the identity off the cells, so Q^T A Q differs from A only in the
-    cell rows and, both being symmetric, the cell columns.  For the cell
-    rows R = A[cells, :] in exact int64, P^T R is L (Q^T A Q) off the cells
-    and (P^T R)[:, cells] P is L L^T (Q^T A Q) on them.  A scaled entry is
-    at most (3/2 m_a)(3/2 m_b) < 3 n^2 for blocks of m_a and m_b vertices,
-    inside int64 for any n < 2^30, and must be 0 or its scale.  In a 0/1
-    result a block's column at an outside vertex is kept or complemented in
-    full (see apply_switching), so one row per block shows which outside
-    rows flip the block's mask.
-    """
+    For the cell rows R = A[cells, :] in exact int64, P^T R is L (Q^T A Q)
+    off the cells and (P^T R)[:, cells] P is L L^T (Q^T A Q) on them.  A
+    scaled entry is at most (3/2 m_a)(3/2 m_b) < 3 n^2 for blocks of m_a and
+    m_b vertices, inside int64 for any n < 2^30, and must be 0 or its scale.
+    A 0/1 result keeps or complements each block's column at an outside
+    vertex in full, so one row per block shows which outside rows flip."""
     blocks, p, scale = _switching_matrix(spec)
     cells = [v for b in blocks for v in b]
-    _check_spec_range(g, cells)
+    _check_spec_range(g, sorted(cells))
     idx = np.array(cells)
     old = _unpacked_rows([g.rows[v] for v in cells], g.n)
     x = p.T @ old.astype(np.int64)
@@ -297,15 +269,23 @@ def _conjugate(g: Graph, spec) -> list[int] | None:
     new[:, idx] = x[:, idx] == scale[:, None] * scale
     if np.count_nonzero(x) != np.count_nonzero(new):
         return None
-    rows = list(g.rows)
+    changed = new != old
+    delta = dict(zip(cells, _bit_rows(changed)))
+    changed[:, idx] = False
     at = 0
     for b in blocks:
         bmask = _mask(b)
-        for v in np.flatnonzero(new[at] != old[at]).tolist():
-            rows[v] ^= bmask
+        for v in np.flatnonzero(changed[at]).tolist():
+            delta[v] = delta.get(v, 0) ^ bmask
         at += len(b)
-    for v, row in zip(cells, _bit_rows(new)):  # after the flips, which also hit cell rows
-        rows[v] = row
+    return delta
+
+
+def _switched_rows(g: Graph, delta: dict[int, int]) -> list[int]:
+    """The rows of g, each XORed with its entry in delta."""
+    rows = list(g.rows)
+    for v, d in delta.items():
+        rows[v] ^= d
     return rows
 
 
@@ -313,7 +293,8 @@ def switching_certificate(g: Graph, mate: Graph, spec) -> bool:
     """True iff Q^T A Q = A' for the switching matrix Q of spec, where A and
     A' are the adjacency matrices of g and mate; then the pair is cospectral,
     whether or not the spec is valid."""
-    return mate.n == g.n and _conjugate(g, spec) == list(mate.rows)
+    delta = _conjugate(g, spec) if mate.n == g.n else None
+    return delta is not None and _switched_rows(g, delta) == list(mate.rows)
 
 
 def _resolve_vertices(entries, g: Graph | None):

@@ -192,6 +192,46 @@ def test_graph_json_with_non_integers_is_malformed(tmp_path, capsys, body):
     assert (code, out) == (cli.EXIT_USAGE, "") and "malformed graph JSON" in err
 
 
+@pytest.mark.parametrize("labels", ["5", '"ab"', '[null, {"x": 1}]', '["a", "b"]'])
+def test_graph_json_with_bad_labels_is_malformed(tmp_path, capsys, labels):
+    """Labels are absent, null or a list of n strings; a number, a string or
+    a list of other values or of another length is refused, not coerced."""
+    path = tmp_path / "g.json"
+    path.write_text(f'{{"n": 3, "edges": [[0, 1]], "labels": {labels}}}')
+    spec = write_spec(tmp_path, recipe_j2n4(8).spec)
+    code, out, err = run(capsys, "switch", "--graph", str(path), "--spec", spec)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert "malformed graph JSON: labels must be null or a list of 3 strings" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "graph6"])
+def test_cap_bounds_graph_files(tmp_path, capsys, fmt):
+    """A graph file over --cap exits 4 with a message naming the file, its
+    vertex count and the cap, like a scheme string over the cap."""
+    g = Graph.from_edges(200, [(v, v + 1) for v in range(199)])
+    path = tmp_path / f"g.{fmt}"
+    cli._write_graph(g, str(path), fmt)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"gm": {"cells": [[0, 2]]}}))
+    code, out, err = run(capsys, "switch", "--graph", str(path), "--spec", str(spec),
+                         "--cap", "10")
+    assert (code, out) == (cli.EXIT_CAP, "")
+    assert err == f"error: {path}: graph has 200 vertices, exceeding the cap 10\n"
+    code, _, _ = run(capsys, "switch", "--graph", str(path), "--spec", str(spec),
+                     "--cap", "200")
+    assert code == 0
+
+
+def test_cap_read_before_a_json_graph_is_built(tmp_path, capsys):
+    """A 34-byte file claiming 10^12 vertices is refused by the default cap
+    before a row is allocated."""
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 1000000000000, "edges": []}')
+    code, out, err = run(capsys, "spectrum", "--graph", str(path))
+    assert (code, out) == (cli.EXIT_CAP, "")
+    assert "graph has 1000000000000 vertices, exceeding the cap 100000" in err
+
+
 def test_verify_passing(tmp_path, capsys):
     spec_path = write_spec(tmp_path, recipe_j2n4(8).spec)
     report_path = tmp_path / "report.json"

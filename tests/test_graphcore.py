@@ -1,6 +1,7 @@
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +129,28 @@ def test_json_takes_integers_only(obj):
     not truncated to an integer."""
     with pytest.raises(ValueError, match="^malformed graph JSON: "):
         Graph.from_json_dict(obj)
+
+
+@pytest.mark.parametrize("labels", [5, "ab", [None, {"x": 1}], ["a"], ("a", "b", "c")])
+def test_json_labels_are_a_list_of_n_strings(labels):
+    with pytest.raises(ValueError, match="^malformed graph JSON: labels must be null or "
+                                         "a list of 3 strings$"):
+        Graph.from_json_dict({"n": 3, "edges": [], "labels": labels})
+    assert Graph.from_json_dict({"n": 3, "edges": [], "labels": None}).labels is None
+
+
+def test_graph_takes_integers_only():
+    """Rows and edge endpoints are integers (numpy's too), never a float or
+    a bool truncated to one."""
+    for bad in ([(0.5, 1.7)], [(0, 2.0)], [(True, 2)]):
+        with pytest.raises(TypeError):
+            Graph.from_edges(3, bad)
+    for bad in ([2.7, 1.2], [2, True]):
+        with pytest.raises(TypeError):
+            Graph(2, bad)
+    g = Graph.from_edges(3, [(np.int64(0), np.uint8(1))])
+    assert g.rows == (2, 1, 0) and all(type(r) is int for r in g.rows)
+    assert Graph(2, np.array([2, 1])).rows == (2, 1)
 
 
 # -- graph6 ----------------------------------------------------------------

@@ -24,7 +24,11 @@ from spectral_switch.switching import (
     validate,
 )
 
-from oracles import apply_switching_reference, switching_certificate_reference
+from oracles import (
+    apply_switching_reference,
+    switching_certificate_reference,
+    validate_reference,
+)
 
 
 def test_gm_spec_constructor_rejections():
@@ -128,11 +132,9 @@ def test_switching_involution_on_recipes(corpus_reports):
 
 def test_invalid_spec_application_refused(j284):
     for bad, kind in ((GmSpec([[0, 1, 2, 3]]), "GM"), (WqhSpec([0, 1, 2], [3, 4, 5]), "WQH")):
-        report = validate(j284, bad)
-        assert not report.valid
-        for given in (None, report):
-            with pytest.raises(InvalidSpecError, match=f"^{kind} conditions fail: .* more\\)$"):
-                apply_switching(j284, bad, given)
+        assert not validate(j284, bad).valid
+        with pytest.raises(InvalidSpecError, match=f"^{kind} conditions fail: .* more\\)$"):
+            apply_switching(j284, bad)
 
 
 def _plant_gm_cell(rng, n=12):
@@ -256,7 +258,8 @@ def test_switching_blocks_are_scaled_orthogonal():
 
 
 def test_apply_switching_matches_tag_and_xor_reference(recipe_pairs, halfrange7, k242, j284):
-    """Q^T A Q equals the switch by validate's tags, rows and labels, on the
+    """Q^T A Q equals the switch by the reference validator's tags, rows and
+    labels, and the validators agree, on the
     recipe pairs, halfrange(7) and every raw spec of the K_2(4,2) gm4 scan
     and the J_2(8,4) core scan."""
     cases = [(g, spec) for g, _, spec in (*recipe_pairs.values(), halfrange7)]
@@ -267,6 +270,162 @@ def test_apply_switching_matches_tag_and_xor_reference(recipe_pairs, halfrange7,
     assert len(cases) == 11 + 1 + 840 + 280
     for g, spec in cases:
         assert apply_switching(g, spec) == apply_switching_reference(g, spec), spec
+        assert validate(g, spec) == validate_reference(g, spec), spec
+
+
+def _refusal(g, spec) -> str:
+    """The InvalidSpecError text for an invalid spec: its first violation
+    and how many more there are."""
+    report = validate_reference(g, spec)
+    kind = "GM" if isinstance(spec, GmSpec) else "WQH"
+    more = len(report.violations) - 1
+    return (f"{kind} conditions fail: {report.violations[0].message}"
+            + (f" (+{more} more)" if more else ""))
+
+
+def _check_against_reference(g, spec) -> bool:
+    """Assert that validate's report equals the popcount reference, field
+    by field and in its JSON text, and that apply_switching switches exactly
+    when the spec is valid, to the reference's mate, and otherwise raises
+    the reference's refusal.  True for an invalid spec whose Q^T A Q is
+    still a 0/1 matrix, which only the cell check refuses."""
+    report, ref = validate(g, spec), validate_reference(g, spec)
+    assert report == ref, spec
+    assert list(report.outside_classes) == list(ref.outside_classes)
+    assert json.dumps(report.to_json_dict()) == json.dumps(ref.to_json_dict())
+    if ref.valid:
+        assert apply_switching(g, spec) == apply_switching_reference(g, spec)
+        return False
+    with pytest.raises(InvalidSpecError) as err:
+        apply_switching(g, spec)
+    assert str(err.value) == _refusal(g, spec)
+    return _conjugate(g, spec) is not None
+
+
+def _fuzz_cases(count: int, seed: int = 22):
+    """Seeded random graphs on 4-12 vertices with random GM cells of sizes
+    2, 4 and 6, or random WQH pairs of sizes 1-3."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(4, 13)
+        density = rng.random()
+        g = Graph.from_edges(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                                 if rng.random() < density])
+        order = rng.sample(range(n), n)
+        if rng.random() < 0.5:
+            cells = []
+            for m in rng.choices((2, 4, 6), k=rng.randrange(1, 4)):
+                if m <= len(order):
+                    cells.append([order.pop() for _ in range(m)])
+            yield g, GmSpec(cells or [order[:2]])
+        else:
+            m = rng.randrange(1, min(3, n // 2) + 1)
+            yield g, WqhSpec(order[:m], order[m:2 * m])
+
+
+def test_validate_and_switch_match_reference_on_fuzz():
+    """On 1500 seeded random specs, validate equals the popcount reference
+    and the switch succeeds exactly on the valid ones; some invalid specs
+    have a 0/1 Q^T A Q, so the cell check is exercised."""
+    cases = list(_fuzz_cases(1500))
+    valid = sum(validate(g, spec).valid for g, spec in cases)
+    zero_one = sum(_check_against_reference(g, spec) for g, spec in cases)
+    assert 450 < valid < 700
+    assert zero_one >= 20
+
+
+def test_validate_and_switch_match_reference_on_schemes(recipe_pairs, halfrange7, k242, j284):
+    """validate and the switch match the reference on the recipe pairs
+    (qkneser(6,3) among them) and halfrange(7), with their specs and with
+    one cell vertex moved outside, on every 97th 4-subset of K_2(4,2) as one
+    GM cell, and on every 991st disjoint pair of J_2(8,4) core triples."""
+    cases = [(g, spec) for g, _, spec in (*recipe_pairs.values(), halfrange7)]
+    for g, spec in list(cases):
+        v = next(u for u in range(g.n) if u not in spec.all_vertices())
+        if isinstance(spec, GmSpec):
+            cases.append((g, GmSpec([(v,) + spec.cells[0][1:], *spec.cells[1:]])))
+        else:
+            cases.append((g, WqhSpec((v,) + spec.c1[1:], spec.c2)))
+    cases += [(k242, GmSpec([c])) for c in
+              itertools.islice(itertools.combinations(range(k242.n), 4), 0, None, 97)]
+    core = johnson_core_triples(8, 4)
+    pairs = ((a, b) for a, b in itertools.combinations(core, 2) if not set(a) & set(b))
+    cases += [(j284, WqhSpec(a, b)) for a, b in itertools.islice(pairs, 0, None, 991)]
+    assert len(cases) == 24 + 540 + 141
+    for g, spec in cases:
+        _check_against_reference(g, spec)
+    assert sum(validate(g, spec).valid for g, spec in cases) == 12 + 12
+
+
+def test_cell_check_refuses_a_0_1_conjugate():
+    """Edge 0-2 with cells {0, 1} and {2, 3}: Q swaps 0 with 1 and 2 with 3,
+    so Q^T A Q is the 0/1 matrix of the edge 1-3, but the cells see
+    different counts of each other and the spec is invalid."""
+    g = Graph.from_edges(4, [(0, 2)])
+    spec = GmSpec([[0, 1], [2, 3]])
+    assert _check_against_reference(g, spec)
+    with pytest.raises(InvalidSpecError, match=r"^GM conditions fail: vertices of cell 0 "
+                                               r"have \[0, 1\] neighbors in cell 1 \(\+1 more\)$"):
+        apply_switching(g, spec)
+
+
+@pytest.mark.parametrize("spec, least", [
+    (GmSpec([[0, 9], [12, 1]]), 9),
+    (GmSpec([[7, 8, 1, 2]]), 7),
+    (WqhSpec([11, 0], [1, 6]), 6),
+])
+def test_out_of_range_spec_names_the_least_vertex(spec, least):
+    g = Graph.from_edges(6, [(0, 1), (2, 3)])
+    for call in (validate, validate_reference, apply_switching, _conjugate,
+                 lambda g, spec: switching_certificate(g, g, spec)):
+        with pytest.raises(InvalidSpecError, match=f"^spec vertex {least} out of range for n=6$"):
+            call(g, spec)
+
+
+def test_unknown_spec_type_refused(petersen):
+    for call in (validate, apply_switching):
+        with pytest.raises(TypeError, match="^unknown spec type tuple$"):
+            call(petersen, ((0, 1),))
+
+
+def test_apply_switching_validates_only_to_refuse(j284, validations):
+    """A valid spec is switched with no validator call; an invalid one
+    calls one, to name its first violation."""
+    apply_switching(j284, recipe_j2n4(8).spec)
+    assert validations == []
+    with pytest.raises(InvalidSpecError):
+        apply_switching(j284, GmSpec([[0, 1, 2, 3]]))
+    assert validations == ["GmSpec"]
+
+
+class _Rows:
+    """A graph's rows that record which indices are read, and refuse to be
+    iterated."""
+
+    def __init__(self, rows):
+        self.rows, self.read = rows, set()
+
+    def __getitem__(self, v):
+        self.read.add(v)
+        return self.rows[v]
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __iter__(self):
+        raise AssertionError("all rows were read")
+
+
+@pytest.mark.parametrize("call", [validate, _conjugate])
+def test_switching_reads_only_the_cell_rows(halfrange7, j284, call):
+    """validate_gm, validate_wqh and _conjugate read g.rows at the cell
+    vertices and nowhere else."""
+    for g, spec in ((halfrange7[0], halfrange7[2]), (j284, recipe_j2n4(8).spec)):
+        recorded = Graph(g.n, g.rows, g.labels, validate=False)
+        rows = _Rows(g.rows)
+        object.__setattr__(recorded, "rows", rows)
+        call(recorded, spec)
+        assert rows.read == set(spec.all_vertices())
 
 
 def test_certificate_refuses_a_conjugate_that_is_not_0_1():
