@@ -1,4 +1,5 @@
-"""Non-isomorphism certification via an invariant ladder.
+"""Non-isomorphism certification: an invariant ladder, and a vertex-local
+check for a graph known to be vertex-transitive.
 
 Cheapest first: sorted degree sequence, common-neighbor count multiset over
 edges, the same over non-edges, the stable 1-WL partition (canon's root
@@ -8,6 +9,14 @@ canonical forms.  The verdict names the level that distinguished, or
 carries an explicit isomorphism when canonical forms match, or reports
 unknown when the canonical search exhausts its budget.
 
+transitive_nonisomorphic compares vertex invariants instead, at a few
+listed vertices.  Every SchemeParams graph is vertex-transitive (S_n acts
+transitively on k-sets and GL(n,q) on k-spaces, and both keep intersection
+sizes), so a vertex invariant of such a graph takes vertex 0's value at every
+vertex; one vertex of the other graph where the value differs proves the two
+non-isomorphic (Godsil and McKay, Aequationes Math. 25, 1982).  Its levels,
+"transitive-lambda" and "transitive-selective", are not ladder levels.
+
 Also provides the selective neighbor count lambda(a; b, c) = #{x ~ a, x !~ b,
 x !~ c} and an exhaustive scan for pairwise non-adjacent triples realizing
 lambda(a; b, c) = 1, one float32 product per vertex a.
@@ -15,6 +24,7 @@ lambda(a; b, c) = 1, one float32 product per vertex a.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -27,7 +37,7 @@ from .canon import (
     match_certificate,
     wl1_histogram,
 )
-from .graphcore import Graph, dense_adjacency
+from .graphcore import Graph, _check_vertex, _unpacked_rows, dense_adjacency
 
 __all__ = [
     "LambdaProfile",
@@ -37,6 +47,7 @@ __all__ = [
     "scan_triple_property",
     "NonIsoVerdict",
     "nonisomorphic",
+    "transitive_nonisomorphic",
     "canonical_form",
     "LADDER_LEVELS",
 ]
@@ -129,6 +140,8 @@ def canonical_form(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> bytes:
 
 def selective_neighbor_count(g: Graph, a: int, b: int, c: int) -> int:
     """#\\{x : x ~ a, x !~ b, x !~ c, x not in {a,b,c}\\}."""
+    for v in (a, b, c):
+        _check_vertex(v, g.n)
     if len({a, b, c}) != 3:
         raise ValueError("selective_neighbor_count needs three distinct vertices")
     full = (1 << g.n) - 1
@@ -156,20 +169,30 @@ def scan_triple_property(g: Graph) -> bool:
                          f"got {n}")
     a = dense_adjacency(g, np.float32)
     adj = a != 0
-    for v in range(n):
-        nbrs = adj[v]
-        others = ~nbrs
-        others[v] = False
-        if others.sum() < 2:
-            continue
-        b = a[others][:, nbrs]
-        shared = b.sum(axis=1)  # lambda(v, x) for x in M
-        count = (b @ b.T) - shared[:, None] - shared[None, :] + b.shape[1]
-        free = ~adj[np.ix_(others, others)]
-        np.fill_diagonal(free, False)
-        if (free & (count == 1)).any():
-            return True
-    return False
+    return any(_selective_pair(a, adj, v) is not None for v in range(n))
+
+
+def _selective_pair(a: np.ndarray, adj: np.ndarray, v: int) -> tuple[int, int] | None:
+    """The first pairwise non-adjacent pair (b, c), b < c, non-adjacent to v,
+    with lambda(v; b, c) = 1, or None; a is the dense float32 adjacency
+    matrix and adj its bool form (see scan_triple_property)."""
+    nbrs = adj[v]
+    others = ~nbrs
+    others[v] = False
+    if others.sum() < 2:
+        return None
+    b = a[others][:, nbrs]
+    shared = b.sum(axis=1)  # lambda(v, x) for x in M
+    count = (b @ b.T) - shared[:, None] - shared[None, :] + b.shape[1]
+    free = ~adj[np.ix_(others, others)]
+    np.fill_diagonal(free, False)
+    hit = free & (count == 1)
+    if not hit.any():
+        return None
+    # hit is symmetric, so its first entry in row-major order has i < j
+    i, j = divmod(int(hit.argmax()), len(hit))
+    m = np.flatnonzero(others)
+    return int(m[i]), int(m[j])
 
 
 @dataclass(frozen=True)
@@ -192,14 +215,15 @@ class NonIsoVerdict:
         return out
 
 
-def _counter_witness(c1, c2, what: str) -> str:
+def _counter_witness(c1, c2, what: str,
+                     where: tuple[str, str] = ("in graph 1", "in graph 2")) -> str:
     keys = sorted(set(dict(c1)) | set(dict(c2)))
     d1, d2 = dict(c1), dict(c2)
     for k in keys:
         a, b = d1.get(k, 0), d2.get(k, 0)
         if a != b:
-            return (f"{what} {k} appears {a} times in graph 1 "
-                    f"but {b} times in graph 2")
+            return (f"{what} {k} appears {a} times {where[0]} "
+                    f"but {b} times {where[1]}")
     raise AssertionError("counters compared equal")
 
 
@@ -259,3 +283,98 @@ def nonisomorphic(g1: Graph, g2: Graph,
         iso[perm1[pos]] = perm2[pos]
     return NonIsoVerdict(False, "canonical-form", "canonical certificates agree",
                          isomorphism=tuple(iso))
+
+
+def _lambda_rows(g: Graph, vertices: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The listed vertices' adjacency rows (bool) and lambda rows (int32),
+    lambda[i, u] = lambda(vertices[i], u).
+
+    Each block of 256 rows of A is unpacked in turn and multiplied in
+    float32, exact as in lambda_profile, so memory is O(len(vertices) n)
+    and no n x n matrix is formed.
+    """
+    n = g.n
+    sub = _unpacked_rows([g.rows[v] for v in vertices], n).astype(np.float32)
+    lam = np.empty((len(vertices), n), dtype=np.int32)
+    for r0 in range(0, n, _LAMBDA_ROWS):
+        block = _unpacked_rows(g.rows[r0:r0 + _LAMBDA_ROWS], n).astype(np.float32)
+        lam[:, r0:r0 + len(block)] = sub @ block.T
+    return sub != 0, lam
+
+
+def _lambda_signature(adj_row: np.ndarray, lam_row: np.ndarray, v: int):
+    """v's lambda histograms over edges and over non-edges; the first one's
+    total is v's degree."""
+    nonedge = ~adj_row
+    nonedge[v] = False
+    return (_histogram(np.bincount(lam_row[adj_row])),
+            _histogram(np.bincount(lam_row[nonedge])))
+
+
+def _signature_witness(sig0, sig, v: int) -> str:
+    where = ("at vertex 0 of graph 1", f"at vertex {v} of graph 2")
+    if sig0[0] != sig[0]:
+        return _counter_witness(sig0[0], sig[0], "edge common-neighbor count", where)
+    return _counter_witness(sig0[1], sig[1], "non-edge common-neighbor count", where)
+
+
+def _selective_witness(v: int, pair, pair0) -> str:
+    if pair is not None:
+        return (f"lambda({v}; {pair[0]}, {pair[1]}) = 1 at vertex {v} of graph 2, "
+                f"but no pairwise non-adjacent triple (0, b, c) of graph 1 "
+                f"has lambda(0; b, c) = 1")
+    return (f"lambda(0; {pair0[0]}, {pair0[1]}) = 1 at vertex 0 of graph 1, "
+            f"but no pairwise non-adjacent triple ({v}, b, c) of graph 2 "
+            f"has lambda({v}; b, c) = 1")
+
+
+def transitive_nonisomorphic(g: Graph, mate: Graph,
+                             vertices: Iterable[int]) -> NonIsoVerdict | None:
+    """Distinguish mate from g by vertex invariants at the listed vertices
+    of mate, given that g is vertex-transitive.
+
+    Precondition: g is vertex-transitive; the caller guarantees it.  Every
+    SchemeParams graph is, because S_n acts transitively on k-sets and
+    GL(n,q) on k-spaces, and both keep intersection sizes.  So any vertex
+    invariant of g takes vertex 0's value at every vertex, an isomorphism
+    would carry those values to mate, and one vertex of mate whose value
+    differs from vertex 0's proves the pair non-isomorphic.
+
+    Two invariants are compared, cheapest first:
+
+    - "transitive-lambda": the signature (degree, edge lambda histogram,
+      non-edge lambda histogram; the degree is the first histogram's
+      total), from the vertices' rows of A A formed a block of rows at a
+      time, so no n x n matrix is formed;
+    - "transitive-selective", only if that decides nothing and
+      n <= _SCAN_MAX_N: whether some pairwise non-adjacent pair (b, c)
+      gives lambda(v; b, c) = 1, by scan_triple_property's product at v.
+
+    The witness names the vertex of mate and its first entry that differs
+    from vertex 0's.  None means neither invariant separates the graphs at
+    these vertices, and proves nothing.  Vertices outside 0..n-1 raise
+    ValueError.
+    """
+    vertices = list(dict.fromkeys(vertices))
+    for v in vertices:
+        _check_vertex(v, mate.n)
+    if g.n != mate.n or not vertices:
+        return None
+    (adj0,), (lam0,) = _lambda_rows(g, [0])
+    sig0 = _lambda_signature(adj0, lam0, 0)
+    for v, adj_row, lam_row in zip(vertices, *_lambda_rows(mate, vertices)):
+        sig = _lambda_signature(adj_row, lam_row, v)
+        if sig != sig0:
+            return NonIsoVerdict(True, "transitive-lambda", _signature_witness(sig0, sig, v))
+    if g.n > _SCAN_MAX_N:
+        return None
+    a = dense_adjacency(g, np.float32)
+    pair0 = _selective_pair(a, a != 0, 0)
+    a = dense_adjacency(mate, np.float32)
+    adj = a != 0
+    for v in vertices:
+        pair = _selective_pair(a, adj, v)
+        if (pair is None) != (pair0 is None):
+            return NonIsoVerdict(True, "transitive-selective",
+                                 _selective_witness(v, pair, pair0))
+    return None

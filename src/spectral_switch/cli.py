@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .canon import BudgetExhaustedError, DEFAULT_NODE_BUDGET
-from .certify import nonisomorphic
+from .certify import nonisomorphic, transitive_nonisomorphic
 from .families import (
     REPORT_SCHEMA_VERSION,
     RecipeStageError,
@@ -207,7 +207,11 @@ def cmd_verify(args) -> int:
         return EXIT_INVALID_SPEC
     mate = apply_switching(g, spec)
     cv = cospectral(g, mate, num_primes=args.primes, seed=args.seed, spec=spec)
-    nv = nonisomorphic(g, mate, args.budget)
+    nv = None
+    if _PARAM_RE.match(args.graph.strip()):  # a scheme graph: vertex-transitive
+        nv = transitive_nonisomorphic(g, mate, spec.all_vertices())
+    if nv is None:
+        nv = nonisomorphic(g, mate, args.budget)
     out["cospectral"] = cv.to_json_dict()
     out["nonisomorphic"] = nv.to_json_dict()
     ok = report.valid and cv.equal and nv.distinguished

@@ -4,9 +4,11 @@ Each recipe bundles scheme parameters, a switching spec in the canonical
 vertex order, and witness assertions (expected common-neighbor changes or
 selective-count values).  run_recipe builds the graph, validates and applies
 the switch, decides cospectrality (proved by the spec's switching matrix, with
-charpolys only if that check fails), checks every witness, and runs the
-non-isomorphism ladder, aggregating everything into one JSON-serializable
-report.
+charpolys only if that check fails), checks every witness, and proves the
+pair non-isomorphic at the cell and witness vertices (the scheme graph is
+vertex-transitive; see certify.transitive_nonisomorphic), with the invariant
+ladder only if that decides nothing, aggregating everything into one
+JSON-serializable report.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .certify import (
     NonIsoVerdict,
     nonisomorphic,
     selective_neighbor_count,
+    transitive_nonisomorphic,
 )
 from .canon import DEFAULT_NODE_BUDGET
 from .graphcore import Graph
@@ -53,7 +56,7 @@ __all__ = [
     "enumerate_vertices",
 ]
 
-REPORT_SCHEMA_VERSION = 3
+REPORT_SCHEMA_VERSION = 4
 
 
 class RecipeStageError(RuntimeError):
@@ -99,6 +102,10 @@ class CommonNeighborChange:
 
     kind = "common-neighbor-change"
 
+    @property
+    def vertices(self) -> tuple[int, int]:
+        return (self.u, self.v)
+
     def check(self, g: Graph, mate: Graph) -> WitnessResult:
         before = g.common_neighbors(self.u, self.v)
         after = mate.common_neighbors(self.u, self.v)
@@ -124,6 +131,10 @@ class CommonNeighborFloor:
 
     kind = "common-neighbor-floor"
 
+    @property
+    def vertices(self) -> tuple[int, int]:
+        return (self.u, self.v)
+
     def check(self, g: Graph, mate: Graph) -> WitnessResult:
         after = mate.common_neighbors(self.u, self.v)
         problems = _pair_edges(g, mate, self.u, self.v,
@@ -146,6 +157,10 @@ class AddedLostCount:
     net_loss_min: int
 
     kind = "added-lost"
+
+    @property
+    def vertices(self) -> tuple[int, int]:
+        return (self.u, self.v)
 
     def check(self, g: Graph, mate: Graph) -> WitnessResult:
         orig = g.rows[self.u] & g.rows[self.v]
@@ -174,6 +189,10 @@ class SelectiveTriple:
     c: int
 
     kind = "selective-triple"
+
+    @property
+    def vertices(self) -> tuple[int, int, int]:
+        return (self.a, self.b, self.c)
 
     def check(self, g: Graph, mate: Graph) -> WitnessResult:
         in_orig = selective_neighbor_count(g, self.a, self.b, self.c)
@@ -318,8 +337,8 @@ SPORADIC_NAMES = tuple(sorted(_SPORADIC_TABLE))
 def recipe_sporadic(name: str) -> Recipe:
     """One of the three tabulated sporadic switching sets.
 
-    These carry no pairwise witnesses; non-isomorphism is delegated entirely
-    to the certification ladder.
+    These carry no pairwise witnesses; non-isomorphism is proved at the
+    cell vertices alone.
     """
     try:
         params, kind, cells = _SPORADIC_TABLE[name]
@@ -418,7 +437,10 @@ def run_recipe(r: Recipe, num_primes: int = 3, seed: int = 0,
         stage = "witnesses"
         wr = tuple(w.check(g, mate) for w in r.witnesses)
         stage = "certify"
-        nv = nonisomorphic(g, mate, budget)
+        vertices = r.spec.all_vertices() + tuple(x for w in r.witnesses for x in w.vertices)
+        nv = transitive_nonisomorphic(g, mate, vertices)
+        if nv is None:
+            nv = nonisomorphic(g, mate, budget)
     except Exception as exc:
         raise RecipeStageError(stage, exc)
     return RecipeReport(r, g, mate, report.valid, report.wqh_constant, cv, wr, nv,

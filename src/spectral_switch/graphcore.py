@@ -37,6 +37,12 @@ def _integer(x) -> int:
     return operator.index(x)
 
 
+def _check_vertex(v: int, n: int) -> None:
+    """ValueError unless 0 <= v < n; a negative v would index rows from the end."""
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} out of range for n={n}")
+
+
 def _unpacked_rows(rows: Sequence[int], n: int) -> np.ndarray:
     """The len(rows) x n uint8 0/1 matrix with entry [i, u] = bit u of rows[i]."""
     nbytes = (n + 7) // 8
@@ -74,7 +80,10 @@ class Graph:
         if len(rows) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
         if labels is not None:
-            labels = tuple(str(x) for x in labels)
+            labels = tuple(labels)
+            for x in labels:
+                if not isinstance(x, str):
+                    raise TypeError(f"labels must be strings, got {x!r}")
             if len(labels) != n:
                 raise ValueError(f"expected {n} labels, got {len(labels)}")
         if validate:
@@ -116,20 +125,28 @@ class Graph:
         return tuple(r.bit_count() for r in self.rows)
 
     def has_edge(self, u: int, v: int) -> bool:
+        _check_vertex(u, self.n)
+        _check_vertex(v, self.n)
         return bool((self.rows[u] >> v) & 1)
 
     def common_neighbors(self, u: int, v: int) -> int:
         """Number of common neighbors of two distinct vertices."""
+        _check_vertex(u, self.n)
+        _check_vertex(v, self.n)
         if u == v:
             raise ValueError("common_neighbors needs two distinct vertices")
         return (self.rows[u] & self.rows[v]).bit_count()
 
     def neighbors(self, v: int) -> Iterator[int]:
-        row = self.rows[v]
-        while row:
-            low = row & -row
-            yield low.bit_length() - 1
-            row ^= low
+        _check_vertex(v, self.n)  # here, not at the first next()
+
+        def bits(row):
+            while row:
+                low = row & -row
+                yield low.bit_length() - 1
+                row ^= low
+
+        return bits(self.rows[v])
 
     def num_edges(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2

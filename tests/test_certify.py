@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+import re
+from itertools import combinations
 
 import pytest
 
@@ -14,9 +16,17 @@ from spectral_switch.certify import (
     nonisomorphic,
     scan_triple_property,
     selective_neighbor_count,
+    transitive_nonisomorphic,
     vertex_lambda_colors,
 )
+from spectral_switch.families import (
+    recipe_halfrange_2kk,
+    recipe_j2n4,
+    recipe_qkneser,
+    run_recipe,
+)
 from spectral_switch.graphcore import Graph
+from spectral_switch.schemes import SchemeParams, build
 
 from oracles import (
     scan_triple_property_reference,
@@ -31,6 +41,10 @@ def cycle(n):
 
 def complete(n):
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def _nonempty_subsets(k):
+    return [set(S) for r in range(1, k + 1) for S in combinations(range(k), r)]
 
 
 def random_graph(n, p, seed):
@@ -82,6 +96,13 @@ def test_selective_count_rejects_repeats():
     g = cycle(5)
     with pytest.raises(ValueError, match="distinct"):
         selective_neighbor_count(g, 1, 1, 2)
+
+
+def test_selective_count_refuses_vertices_out_of_range():
+    g = cycle(5)
+    for triple in ((-1, 1, 2), (0, 5, 2), (0, 1, 7)):
+        with pytest.raises(ValueError, match="out of range for n=5$"):
+            selective_neighbor_count(g, *triple)
 
 
 def test_scan_triple_property():
@@ -381,3 +402,125 @@ def test_twins_call_canon_through_module_attributes_as_before(corpus_reports,
     v = nonisomorphic(mate, mate.relabel(perm))
     assert v.isomorphism is not None
     assert calls == ["certify.canonical_labeling"]
+
+
+# -- transitive_nonisomorphic ------------------------------------------------
+
+TRANSITIVE = [SchemeParams.johnson(n, k, S)
+              for n, k in ((6, 3), (7, 3), (8, 4)) for S in _nonempty_subsets(k)]
+TRANSITIVE += [SchemeParams.grassmann(n, 2, S, q)
+               for n, q in ((4, 2), (5, 2), (4, 3)) for S in _nonempty_subsets(2)]
+
+
+@pytest.mark.parametrize("params", TRANSITIVE, ids=SchemeParams.format)
+def test_scheme_graphs_look_the_same_from_every_vertex(params):
+    """The rung's precondition, checked rather than assumed: every vertex
+    has vertex 0's lambda signature and selective answer."""
+    g = build(params)
+    assert transitive_nonisomorphic(g, g, range(g.n)) is None
+
+
+def test_transitive_rung_never_separates_a_relabeled_original(corpus_reports):
+    for seed, rep in enumerate(corpus_reports.values()):
+        perm = list(range(rep.graph.n))
+        random.Random(seed).shuffle(perm)
+        relabeled = rep.graph.relabel(perm)
+        assert transitive_nonisomorphic(rep.graph, relabeled, range(rep.graph.n)) is None
+
+
+_LAMBDA_WITNESS = re.compile(
+    r"^(edge|non-edge) common-neighbor count (\d+) appears (\d+) times at vertex 0 "
+    r"of graph 1 but (\d+) times at vertex (\d+) of graph 2$")
+_SELECTIVE_WITNESS = re.compile(r"^lambda\((\d+); (\d+), (\d+)\) = 1 at vertex \1 of graph 2")
+
+
+def _lambda_count(g, v, lam, adjacent):
+    return sum(1 for u in range(g.n)
+               if u != v and g.has_edge(v, u) == adjacent and g.common_neighbors(v, u) == lam)
+
+
+def _check_transitive_witness(g, mate, verdict):
+    """Recount the witness's claim from the graphs by pairwise counts."""
+    if verdict.level == "transitive-lambda":
+        kind, lam, before, after, v = _LAMBDA_WITNESS.match(verdict.witness).groups()
+        adjacent = kind == "edge"
+        assert _lambda_count(g, 0, int(lam), adjacent) == int(before)
+        assert _lambda_count(mate, int(v), int(lam), adjacent) == int(after)
+    else:
+        a, b, c = map(int, _SELECTIVE_WITNESS.match(verdict.witness).groups())
+        assert not (mate.has_edge(a, b) or mate.has_edge(a, c) or mate.has_edge(b, c))
+        assert selective_neighbor_count(mate, a, b, c) == 1
+        assert not any(selective_neighbor_count(g, 0, b, c) == 1
+                       for b in range(1, g.n) for c in range(b + 1, g.n)
+                       if not (g.has_edge(0, b) or g.has_edge(0, c) or g.has_edge(b, c)))
+
+
+def _agreement_reports(corpus_reports):
+    yield from corpus_reports.values()
+    for r in ([recipe_halfrange_2kk(7), recipe_qkneser(5, 2), recipe_qkneser(6, 3)]
+              + [recipe_j2n4(n) for n in range(8, 17)]):
+        yield run_recipe(r)
+
+
+def test_transitive_rung_decides_and_agrees_with_the_ladder(corpus_reports):
+    levels = {}
+    for rep in _agreement_reports(corpus_reports):
+        nv = rep.noniso_verdict
+        levels[rep.recipe.name] = nv.level
+        assert nv.distinguished and nv.level.startswith("transitive-"), rep.recipe.name
+        _check_transitive_witness(rep.graph, rep.mate, nv)
+        assert nonisomorphic(rep.graph, rep.mate).distinguished, rep.recipe.name
+    assert {name for name, lvl in levels.items() if lvl == "transitive-selective"} == {
+        "qkneser(n=4,k=2)", "qkneser(n=5,k=2)"}
+
+
+def test_transitive_witness_names_the_mate_vertex(corpus_reports):
+    assert corpus_reports["qkneser(n=4,k=2)"].noniso_verdict.witness.startswith(
+        "lambda(24; ")
+    assert "at vertex 126 of graph 2" in (
+        corpus_reports["sporadic(J1-11-4)"].noniso_verdict.witness)
+
+
+def test_selective_rung_only_up_to_the_scan_limit(corpus_reports, monkeypatch):
+    rep = corpus_reports["qkneser(n=4,k=2)"]
+    vertices = rep.recipe.spec.all_vertices() + (24,)
+    assert transitive_nonisomorphic(rep.graph, rep.mate, vertices).level == (
+        "transitive-selective")
+    monkeypatch.setattr(certify, "_SCAN_MAX_N", rep.graph.n - 1)
+    assert transitive_nonisomorphic(rep.graph, rep.mate, vertices) is None
+
+
+def test_transitive_rung_lambda_rows_cross_row_blocks():
+    """Lambda rows are formed 256 rows of A at a time; on a 600-vertex graph
+    every block must land in its own columns."""
+    g = random_graph(600, 0.1, 5)
+    vertices = [0, 255, 256, 599]
+    adj, lam = certify._lambda_rows(g, vertices)
+    for v, adj_row, lam_row in zip(vertices, adj, lam):
+        assert adj_row.tolist() == [g.has_edge(v, u) if u != v else False
+                                    for u in range(g.n)]
+        assert lam_row.tolist() == [(g.rows[v] & g.rows[u]).bit_count()
+                                    for u in range(g.n)]
+
+
+def test_transitive_rung_checks_its_vertices():
+    g = cycle(5)
+    with pytest.raises(ValueError, match="^vertex 5 out of range for n=5$"):
+        transitive_nonisomorphic(g, g, [0, 5])
+    with pytest.raises(ValueError, match="^vertex -1 out of range for n=5$"):
+        transitive_nonisomorphic(g, g, [-1])
+    assert transitive_nonisomorphic(g, g, []) is None
+    assert transitive_nonisomorphic(g, cycle(6), [0]) is None
+    # C6 against two triangles: every vertex has degree 2, and lambda 1 on
+    # an edge appears only in the triangles
+    two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    verdict = transitive_nonisomorphic(cycle(6), two_triangles, [3])
+    assert verdict.level == "transitive-lambda"
+    assert verdict.witness == ("edge common-neighbor count 0 appears 2 times at vertex 0 "
+                               "of graph 1 but 0 times at vertex 3 of graph 2")
+    # vertex 0 of a triangle with a pendant path at each other corner has
+    # C6's non-edge histogram {0: 1, 1: 2}, so only the edge one separates
+    kite = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)])
+    verdict = transitive_nonisomorphic(cycle(6), kite, [0])
+    assert verdict.level == "transitive-lambda"
+    assert verdict.witness.startswith("edge common-neighbor count 0 appears 2 times")

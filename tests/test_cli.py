@@ -248,6 +248,24 @@ def test_verify_passing(tmp_path, capsys):
     assert json.loads(report_path.read_text()) == doc
 
 
+def test_verify_proves_a_scheme_graph_at_its_cells_and_a_file_by_the_ladder(
+        tmp_path, capsys):
+    """A scheme string's graph is vertex-transitive, so verify compares
+    vertex 0 with the cell vertices; a graph file gets the ladder."""
+    spec_path = write_spec(tmp_path, recipe_j2n4(8).spec)
+    gpath = tmp_path / "j284.g6"
+    gpath.write_bytes(encode_graph6(build(SchemeParams.parse("J{2}(8,4)"))))
+    levels = []
+    for graph in ("J{2}(8,4)", str(gpath)):
+        code, out, _ = run(capsys, "verify", "--graph", graph, "--spec", spec_path)
+        assert code == 0
+        doc = json.loads(out)
+        jsonschema.validate(doc, SCHEMA)
+        assert doc["nonisomorphic"]["distinguished"] is True
+        levels.append(doc["nonisomorphic"]["level"])
+    assert levels == ["transitive-lambda", "edge-lambda"]
+
+
 def test_verify_identity_switch_is_inconclusive(tmp_path, capsys):
     # on the edgeless graph the switch does nothing: valid, cospectral,
     # but certifiably isomorphic
@@ -306,7 +324,7 @@ def test_recipe_stage_failures_exit_by_cause(capsys, monkeypatch):
     def broken(*args):
         raise ZeroDivisionError("boom")
 
-    monkeypatch.setattr(families, "nonisomorphic", broken)
+    monkeypatch.setattr(families, "transitive_nonisomorphic", broken)
     code, _, err = run(capsys, "recipe", "j2n4", "--n", "8")
     assert code == cli.EXIT_INVALID_SPEC
     assert err.startswith("error: stage certify: boom")

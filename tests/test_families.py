@@ -218,7 +218,36 @@ def test_corpus_reports_pass(corpus_reports):
         assert rep.cospectral_verdict.equal
         assert all(w.passed for w in rep.witness_results)
         assert rep.noniso_verdict.distinguished
-        assert rep.noniso_verdict.level in LADDER_LEVELS
+        assert rep.noniso_verdict.level in LADDER_LEVELS + ("transitive-lambda",
+                                                           "transitive-selective")
+
+
+def test_corpus_proves_noniso_at_cell_and_witness_vertices(monkeypatch):
+    """No corpus recipe reaches the ladder: qkneser(4,2)'s selective triple
+    is found at its witness vertex, not at a cell vertex."""
+    from spectral_switch import families
+
+    def ladder(*args):
+        raise AssertionError("the invariant ladder ran")
+
+    monkeypatch.setattr(families, "nonisomorphic", ladder)
+    levels = {r.name: run_recipe(r).noniso_verdict.level for r in all_recipes()}
+    assert levels == {
+        "j2n4(n=8)": "transitive-lambda",
+        "halfrange(k=5)": "transitive-lambda",
+        "qkneser(n=4,k=2)": "transitive-selective",
+        "sporadic(J1-11-4)": "transitive-lambda",
+        "sporadic(J24-10-5)": "transitive-lambda",
+        "sporadic(J24-12-6)": "transitive-lambda",
+    }
+
+
+def test_witnesses_list_their_vertices():
+    assert CommonNeighborChange(3, 4, 0).vertices == (3, 4)
+    assert CommonNeighborFloor(5, 1, 0).vertices == (5, 1)
+    assert AddedLostCount(2, 7, 0, 0, 0).vertices == (2, 7)
+    assert SelectiveTriple(24, 4, 5).vertices == (24, 4, 5)
+    assert recipe_qkneser(4, 2).witnesses[0].vertices[0] == 24
 
 
 def test_corpus_reports_match_schema(corpus_reports):

@@ -34,6 +34,28 @@ def test_graph_basics():
     assert sorted(g.edges()) == [(0, 1), (1, 2), (2, 3)]
 
 
+def test_accessors_refuse_vertices_out_of_range():
+    """A negative vertex would index rows from the end, and one past n-1
+    would read a bit that no row sets."""
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    for call in (lambda: g.has_edge(-2, 2), lambda: g.has_edge(2, -1),
+                 lambda: g.common_neighbors(-1, 0), lambda: g.neighbors(-1)):
+        with pytest.raises(ValueError, match="^vertex -[12] out of range for n=3$"):
+            call()
+    for call in (lambda: g.has_edge(0, 5), lambda: g.has_edge(5, 0),
+                 lambda: g.common_neighbors(0, 5), lambda: g.neighbors(5)):
+        with pytest.raises(ValueError, match="^vertex 5 out of range for n=3$"):
+            call()
+
+
+@pytest.mark.parametrize("labels", [[None, "b", "c"], ["a", 1.5, "c"], ["a", "b", {"x": 1}]])
+def test_graph_refuses_labels_that_are_not_strings(labels):
+    with pytest.raises(TypeError, match="^labels must be strings, got "):
+        Graph(3, [0, 0, 0], labels=labels)
+    with pytest.raises(TypeError, match="^labels must be strings, got "):
+        Graph.from_edges(3, [], labels=labels)
+
+
 def test_graph_validation():
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 3)])
