@@ -345,7 +345,8 @@ def transitive_nonisomorphic(g: Graph, mate: Graph,
     - "transitive-lambda": the signature (degree, edge lambda histogram,
       non-edge lambda histogram; the degree is the first histogram's
       total), from the vertices' rows of A A formed a block of rows at a
-      time, so no n x n matrix is formed;
+      time, so no n x n matrix is formed, and g's vertex-0 row as the
+      popcount of g.rows[0] & r for each row r of g;
     - "transitive-selective", only if that decides nothing and
       n <= _SCAN_MAX_N: whether some pairwise non-adjacent pair (b, c)
       gives lambda(v; b, c) = 1, by scan_triple_property's product at v.
@@ -360,8 +361,9 @@ def transitive_nonisomorphic(g: Graph, mate: Graph,
         _check_vertex(v, mate.n)
     if g.n != mate.n or not vertices:
         return None
-    (adj0,), (lam0,) = _lambda_rows(g, [0])
-    sig0 = _lambda_signature(adj0, lam0, 0)
+    row0 = g.rows[0]
+    lam0 = np.array([(row0 & r).bit_count() for r in g.rows], dtype=np.int32)
+    sig0 = _lambda_signature(_unpacked_rows([row0], g.n)[0] != 0, lam0, 0)
     for v, adj_row, lam_row in zip(vertices, *_lambda_rows(mate, vertices)):
         sig = _lambda_signature(adj_row, lam_row, v)
         if sig != sig0:

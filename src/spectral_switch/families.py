@@ -23,7 +23,7 @@ from .certify import (
     transitive_nonisomorphic,
 )
 from .canon import DEFAULT_NODE_BUDGET
-from .graphcore import Graph
+from .graphcore import Graph, _check_vertex
 from .schemes import (
     DEFAULT_VERTEX_CAP,
     SchemeParams,
@@ -163,6 +163,8 @@ class AddedLostCount:
         return (self.u, self.v)
 
     def check(self, g: Graph, mate: Graph) -> WitnessResult:
+        for x in (self.u, self.v):
+            _check_vertex(x, min(g.n, mate.n))
         orig = g.rows[self.u] & g.rows[self.v]
         new = mate.rows[self.u] & mate.rows[self.v]
         added = (new & ~orig).bit_count()

@@ -9,7 +9,9 @@ Both families share one adjacency kernel on bitmasks.  A subset is its own
 mask.  A subspace is the set of its projective points: two k-spaces over F_q
 meet in dimension d exactly when they share (q^d - 1)/(q - 1) points, so the
 Grassmann graph is the Johnson kernel applied to point masks, with the
-allowed counts {(q^s - 1)/(q - 1) : s in S}.
+allowed counts {(q^s - 1)/(q - 1) : s in S}.  Point masks are formed in
+numpy for all subspaces at once; a point's bit is the rank of its normalized
+vector read base q, not its first-seen order, and rows read only popcounts.
 
 Vertex order is canonical and deterministic: subsets ascend by bitmask value
 (colex), subspaces sort by pivot-column tuple then by the flattened RREF
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations, product
 
 import numpy as np
@@ -82,10 +85,6 @@ def _set_label(mask: int) -> str:
 
 
 _DIGITS = "0123456789abcdef"
-
-
-def _subspace_label(basis) -> str:
-    return "<" + ",".join("".join(_DIGITS[e] for e in row) for row in basis) + ">"
 
 
 _PARAM_RE = re.compile(
@@ -255,61 +254,71 @@ def grassmann_rank(basis, q: int) -> int:
     return offset + r
 
 
+@cache
+def _byte_bits() -> np.ndarray:
+    """Set bits of each byte value, the table _popcount uses on numpy < 2."""
+    return np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+
 def _popcount(x):
     """Set bits of each element of a uint64 array."""
     if hasattr(np, "bitwise_count"):
         return np.bitwise_count(x)
     # numpy < 2: count the eight bytes of each element through a table
-    table = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-    return table[x[..., None].view(np.uint8)].sum(axis=-1, dtype=np.uint8)
+    return _byte_bits()[x[..., None].view(np.uint8)].sum(axis=-1, dtype=np.uint8)
 
 
-def _point_masks(bases, q: int) -> list[int]:
-    """Bitmask of the projective points each subspace contains.
+def _masks(p: SchemeParams, verts) -> np.ndarray:
+    """(N, words) uint64 array: row v has the bits of v's points set.
 
-    For an RREF basis, the combinations whose first nonzero coefficient is 1
-    are exactly the normalized representatives (first nonzero entry 1) of the
-    subspace's points.  Points get bit indices in first-seen order.
+    A subspace's points are the combinations of its RREF rows whose first
+    nonzero coefficient is 1, which are its normalized vectors.
     """
-    f = field_table(q)
-    add, mul = f.add, f.mul
-    index: dict[tuple[int, ...], int] = {}
-    masks = []
-    for b in bases:
-        m = 0
-        for i, lead in enumerate(b):
-            vecs = [lead]
-            for row in b[i + 1:]:
-                vecs = [tuple(add[x][mul[c][y]] for x, y in zip(v, row))
-                        for v in vecs for c in range(q)]
-            for v in vecs:
-                m |= 1 << index.setdefault(v, len(index))
-        masks.append(m)
-    return masks
+    if p.kind == "johnson":
+        words = (p.n + 63) // 64
+        buf = b"".join(m.to_bytes(8 * words, "little") for m in verts)
+        return np.frombuffer(buf, dtype="<u8").reshape(len(verts), words)
+    f = field_table(p.q)
+    add, mul = np.array(f.add, dtype=np.uint8), np.array(f.mul, dtype=np.uint8)
+    bases = np.array(verts, dtype=np.uint8)  # (N, k, n)
+    coeffs = np.array([(0,) * i + (1,) + tail for i in range(p.k)
+                       for tail in product(range(p.q), repeat=p.k - 1 - i)], dtype=np.uint8)
+    points = np.zeros((len(verts), len(coeffs), p.n), dtype=np.uint8)
+    for i in range(p.k):
+        points = add[points, mul[coeffs[:, i, None], bases[:, None, i]]]
+    codes = np.ravel_multi_index(np.moveaxis(points, -1, 0), (p.q,) * p.n)
+    ids = np.unique(codes, return_inverse=True)[1].reshape(codes.shape)
+    bits = np.zeros((len(verts), -(-(ids.max() + 1) // 64) * 64), dtype=bool)
+    bits[np.arange(len(verts))[:, None], ids] = True
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
 
-def _johnson_rows(masks: list[int], counts) -> list[int]:
-    """Adjacency rows: i ~ j iff |masks[i] & masks[j]| is in counts.
+def _adjacency_rows(masks: np.ndarray, counts) -> list[int]:
+    """Adjacency rows: i ~ j iff masks i and j share a number of set bits
+    that is in counts.
 
     Each mask has more set bits than the largest count, so no vertex is its
-    own neighbour.  Masks of any width are split into 64-bit words and the
-    popcounts of the words are summed.
+    own neighbour.  Blocks of at most 128 rows and 2^18 entries (2 MiB, to
+    stay in cache) become row ints one at a time: no n x n array is formed.
     """
-    n_vertices = len(masks)
-    words = (max(masks).bit_length() + 63) // 64
-    arr = np.frombuffer(
-        b"".join(m.to_bytes(8 * words, "little") for m in masks), dtype="<u8"
-    ).reshape(n_vertices, words)
-    lut = np.zeros(64 * words + 1, dtype=bool)
-    lut[sorted(counts)] = True
-    rows = [0] * n_vertices
-    chunk = max(1, (1 << 22) // n_vertices)  # bounds the & temporary
-    for lo in range(0, n_vertices, chunk):
-        hi = min(lo + chunk, n_vertices)
-        cnt = np.zeros((hi - lo, n_vertices), dtype=np.min_scalar_type(64 * words))
-        for w in range(words):
-            cnt += _popcount(arr[lo:hi, w, None] & arr[None, :, w])
-        rows[lo:hi] = _bit_rows(lut[cnt])
+    n_vertices, words = masks.shape
+    step = min(128, max(1, (1 << 18) // n_vertices))
+    buf = np.empty((step, n_vertices), dtype=masks.dtype)
+    dtype = np.min_scalar_type(64 * words)
+    first, *rest = counts
+    rows = []
+    for lo in range(0, n_vertices, step):
+        block = masks[lo:lo + step]
+        out = buf[:len(block)]
+        np.bitwise_and(block[:, :1], masks[:, 0], out=out)
+        cnt = _popcount(out).astype(dtype, copy=False)
+        for w in range(1, words):
+            np.bitwise_and(block[:, w, None], masks[:, w], out=out)
+            cnt += _popcount(out)
+        hit = cnt == first
+        for c in rest:
+            hit |= cnt == c
+        rows += _bit_rows(hit)
     return rows
 
 
@@ -318,12 +327,12 @@ def build(p: SchemeParams, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     verts = enumerate_vertices(p, cap)
     if p.kind == "johnson":
         labels = [_set_label(m) for m in verts]
-        masks, counts = verts, p.S
+        counts = p.S
     else:
-        labels = [_subspace_label(b) for b in verts]
-        masks = _point_masks(verts, p.q)
+        row_text = cache(lambda row: "".join(_DIGITS[e] for e in row))
+        labels = ["<" + ",".join(map(row_text, b)) + ">" for b in verts]
         counts = {(p.q ** s - 1) // (p.q - 1) for s in p.S}
-    return Graph(len(verts), _johnson_rows(masks, counts), labels, validate=False)
+    return Graph(len(verts), _adjacency_rows(_masks(p, verts), counts), labels, validate=False)
 
 
 def degree_formula(p: SchemeParams) -> int:

@@ -15,6 +15,8 @@ import numpy as np
 
 from spectral_switch import canon
 from spectral_switch.algebra import field_table
+from spectral_switch.graphcore import _bit_rows
+from spectral_switch.schemes import elements_of_mask, enumerate_vertices
 
 
 def charpoly_exact(g):
@@ -388,6 +390,65 @@ def is_rref(rows) -> bool:
             return False
         pivots.append(lead)
     return all(sum(1 for row in rows if row[j]) == 1 for j in pivots)
+
+
+def point_masks_reference(bases, q: int) -> list[int]:
+    """Bitmask of the projective points each subspace contains, points
+    numbered in first-seen order; the schemes module's earlier pure-Python
+    loop over the combinations of each RREF basis whose first nonzero
+    coefficient is 1."""
+    f = field_table(q)
+    add, mul = f.add, f.mul
+    index = {}
+    masks = []
+    for b in bases:
+        m = 0
+        for i, lead in enumerate(b):
+            vecs = [lead]
+            for row in b[i + 1:]:
+                vecs = [tuple(add[x][mul[c][y]] for x, y in zip(v, row))
+                        for v in vecs for c in range(q)]
+            for v in vecs:
+                m |= 1 << index.setdefault(v, len(index))
+        masks.append(m)
+    return masks
+
+
+def johnson_rows_reference(masks, counts) -> list[int]:
+    """Adjacency rows, i ~ j iff |masks[i] & masks[j]| is in counts; the
+    schemes module's earlier kernel, with up to 2^22 pairs per block, word
+    popcounts through a byte table and a lookup table on the counts."""
+    n_vertices = len(masks)
+    words = (max(masks).bit_length() + 63) // 64
+    arr = np.frombuffer(
+        b"".join(m.to_bytes(8 * words, "little") for m in masks), dtype="<u8"
+    ).reshape(n_vertices, words)
+    byte_bits = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+    lut = np.zeros(64 * words + 1, dtype=bool)
+    lut[sorted(counts)] = True
+    rows = [0] * n_vertices
+    chunk = max(1, (1 << 22) // n_vertices)
+    for lo in range(0, n_vertices, chunk):
+        hi = min(lo + chunk, n_vertices)
+        cnt = np.zeros((hi - lo, n_vertices), dtype=np.min_scalar_type(64 * words))
+        for w in range(words):
+            both = arr[lo:hi, w, None] & arr[None, :, w]
+            cnt += byte_bits[both[..., None].view(np.uint8)].sum(axis=-1, dtype=np.uint8)
+        rows[lo:hi] = _bit_rows(lut[cnt])
+    return rows
+
+
+def build_reference(p):
+    """(rows, labels) of schemes.build(p), from the schemes module's
+    earlier point masks, kernel and labels."""
+    verts = enumerate_vertices(p)
+    if p.kind == "johnson":
+        labels = ["{" + ",".join(map(str, elements_of_mask(m))) + "}" for m in verts]
+        return johnson_rows_reference(verts, p.S), labels
+    labels = ["<" + ",".join("".join("0123456789abcdef"[e] for e in row) for row in b) + ">"
+              for b in verts]
+    counts = {(p.q ** s - 1) // (p.q - 1) for s in p.S}
+    return johnson_rows_reference(point_masks_reference(verts, p.q), counts), labels
 
 
 def validate_reference(g, spec):

@@ -150,6 +150,19 @@ def test_added_lost_witness():
     assert not bad.passed and "net loss 0 < floor 1" in bad.details
 
 
+def test_added_lost_rejects_a_negative_vertex():
+    """A negative u would read a row from the end of g.rows."""
+    p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=r"^vertex -1 out of range for n=3$"):
+        AddedLostCount(-1, 0, 0, 0, 0).check(p3, p3)
+
+
+def test_added_lost_rejects_a_vertex_past_n():
+    p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=r"^vertex 7 out of range for n=3$"):
+        AddedLostCount(0, 7, 0, 0, 0).check(p3, p3)
+
+
 def test_selective_triple_witness():
     empty = Graph(4, [0] * 4)
     mate = Graph.from_edges(4, [(0, 3)])

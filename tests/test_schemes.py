@@ -4,13 +4,15 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from spectral_switch.algebra import SUPPORTED_Q
 from spectral_switch.canon import canonical_form
 from spectral_switch.graphcore import Graph
 from spectral_switch.schemes import (
     SchemeParams,
     VertexCapExceeded,
-    _johnson_rows,
-    _point_masks,
+    _adjacency_rows,
+    _masks,
+    _popcount,
     _subspace_bases,
     build,
     count_vertices,
@@ -21,7 +23,13 @@ from spectral_switch.schemes import (
     johnson_rank,
 )
 
-from oracles import intersection_dim, is_rref, johnson_degree_direct
+from oracles import (
+    build_reference,
+    intersection_dim,
+    is_rref,
+    johnson_degree_direct,
+    point_masks_reference,
+)
 
 
 def test_parse_format_round_trip():
@@ -141,17 +149,54 @@ def test_degree_formula_vs_direct_count():
 def test_johnson_rows_without_bitwise_count(monkeypatch):
     """The popcount fallback for numpy < 2 builds the same rows, also on
     point masks wider than one 64-bit word (121 points of F_3^5)."""
-    masks = enumerate_vertices(SchemeParams.johnson(8, 4, {2}))
-    want = _johnson_rows(masks, {2})
+    jp = SchemeParams.johnson(8, 4, {2})
     gp = SchemeParams.grassmann(5, 2, {1}, 3)
-    qmasks = _point_masks(_subspace_bases(5, 2, 3), 3)
-    assert max(qmasks).bit_length() == 121
-    qwant = _johnson_rows(qmasks, {1})
+    masks = _masks(jp, enumerate_vertices(jp))
+    qmasks = _masks(gp, enumerate_vertices(gp))
+    assert qmasks.shape == (1210, 2)
+    want = _adjacency_rows(masks, {2})
+    qwant = _adjacency_rows(qmasks, {1})
     monkeypatch.delattr(np, "bitwise_count", raising=False)
-    assert _johnson_rows(masks, {2}) == want
-    assert _johnson_rows(qmasks, {1}) == qwant
-    assert tuple(want) == build(SchemeParams.johnson(8, 4, {2})).rows
-    assert tuple(qwant) == build(gp).rows
+    words = np.random.default_rng(3).integers(0, 2**64 - 1, 64, dtype=np.uint64, endpoint=True)
+    words[:2] = 0, 2**64 - 1
+    assert _popcount(words).tolist() == [int(w).bit_count() for w in words]
+    assert _adjacency_rows(masks, {2}) == want
+    assert _adjacency_rows(qmasks, {1}) == qwant
+    assert tuple(want) == build(jp).rows == tuple(build_reference(jp)[0])
+    assert tuple(qwant) == build(gp).rows == tuple(build_reference(gp)[0])
+
+
+@pytest.mark.parametrize("text", [
+    *(f"Jq{{1}}(3,2;q={q})" for q in sorted(SUPPORTED_Q)),
+    *(f"Jq{{0}}(4,2;q={q})" for q in (2, 3, 4, 5)),
+    "Jq{0}(7,2;q=2)", "Jq{1}(5,2;q=3)", "Jq{1}(4,2;q=5)",  # 2 or 3 mask words
+    "J{0,2,4}(10,5)", "J{1,2,3}(11,5)",  # |S| >= 3
+    "Jq{0}(6,3;q=2)",  # 1395 = 10 * 128 + 115 rows: a partial last block
+])
+def test_build_equals_the_reference(text):
+    """Rows and labels equal the earlier point masks, kernel and labels.
+    Jq{0}(7,2;q=2) has 2667 vertices, so its blocks are the 98 rows that
+    2^18 entries allow, and the last holds 21."""
+    p = SchemeParams.parse(text)
+    rows, labels = build_reference(p)
+    g = build(p)
+    assert g.rows == tuple(rows)
+    assert g.labels == tuple(labels)
+
+
+@pytest.mark.parametrize("q", sorted(SUPPORTED_Q))
+def test_point_masks_equal_the_reference_up_to_point_order(q):
+    """Each point of PG(2,q), as the set of lines holding it, is one of the
+    reference's points, and no other bit is set."""
+    p = SchemeParams.grassmann(3, 2, {1}, q)
+    verts = enumerate_vertices(p)
+    bits = np.unpackbits(_masks(p, verts).view(np.uint8), axis=1, bitorder="little")
+    ref = point_masks_reference(verts, q)
+    want = sorted(tuple(v for v, m in enumerate(ref) if m >> i & 1)
+                  for i in range(max(ref).bit_length()))
+    got = sorted(tuple(np.flatnonzero(col).tolist()) for col in bits.T if col.any())
+    assert got == want
+    assert bits.shape[1] == -(-len(want) // 64) * 64
 
 
 def test_degree_formula_matches_build(petersen, k242):
