@@ -15,7 +15,9 @@ transitively on k-sets and GL(n,q) on k-spaces, and both keep intersection
 sizes), so a vertex invariant of such a graph takes vertex 0's value at every
 vertex; one vertex of the other graph where the value differs proves the two
 non-isomorphic (Godsil and McKay, Aequationes Math. 25, 1982).  Its levels,
-"transitive-lambda" and "transitive-selective", are not ladder levels.
+"transitive-lambda" and "transitive-selective", are not ladder levels; the
+first takes lambda rows from graphcore._common_bits, the scheme build's
+kernel, and signatures from _lambda_signature, as vertex_lambda_colors does.
 
 Also provides the selective neighbor count lambda(a; b, c) = #{x ~ a, x !~ b,
 x !~ c} and an exhaustive scan for pairwise non-adjacent triples realizing
@@ -37,7 +39,8 @@ from .canon import (
     match_certificate,
     wl1_histogram,
 )
-from .graphcore import Graph, _check_vertex, _unpacked_rows, dense_adjacency
+from .graphcore import (Graph, _check_vertex, _common_bits, _packed_rows, _unpacked_rows,
+                        dense_adjacency)
 
 __all__ = [
     "LambdaProfile",
@@ -65,6 +68,7 @@ class LambdaProfile:
 
 
 _LAMBDA_ROWS = 256  # rows of A A formed at a time
+_BLOCK_WORDS = 1 << 20  # packed words per block of rows in _lambda_rows (8 MiB)
 
 
 def lambda_profile(g: Graph) -> LambdaProfile:
@@ -76,20 +80,19 @@ def lambda_profile(g: Graph) -> LambdaProfile:
     """
     n = g.n
     a = dense_adjacency(g, np.float32)
-    edge = np.zeros(n + 1, dtype=np.int64)
-    nonedge = np.zeros(n + 1, dtype=np.int64)
+    counts = np.zeros(2 * n + 2, dtype=np.int64)
     for r0 in range(0, n, _LAMBDA_ROWS):
         r1 = min(r0 + _LAMBDA_ROWS, n)
-        lam = (a[r0:r1] @ a[:, r0:]).astype(np.int32)
-        upper = np.arange(r0, n) > np.arange(r0, r1)[:, None]
-        adj = a[r0:r1, r0:] != 0
-        edge += np.bincount(lam[upper & adj], minlength=n + 1)
-        nonedge += np.bincount(lam[upper & ~adj], minlength=n + 1)
-    return LambdaProfile(_histogram(edge), _histogram(nonedge))
+        # the key rows of _lambda_signature, v itself left out
+        keys = (a[r0:r1] @ a[:, r0:] - (n + 1) * a[r0:r1, r0:]).astype(np.int32) + n + 1
+        counts += np.bincount(keys[np.arange(r0, n) > np.arange(r0, r1)[:, None]],
+                              minlength=2 * n + 2)
+    return LambdaProfile(_histogram(counts[:n + 1]), _histogram(counts[n + 1:]))
 
 
 def _histogram(counts: np.ndarray) -> tuple[tuple[int, int], ...]:
-    return tuple((int(k), int(counts[k])) for k in np.flatnonzero(counts))
+    ks = np.flatnonzero(counts)
+    return tuple(zip(ks.tolist(), counts[ks].tolist()))
 
 
 def vertex_lambda_colors(g: Graph) -> list[int]:
@@ -98,10 +101,9 @@ def vertex_lambda_colors(g: Graph) -> list[int]:
     Used to seed canonical labeling and give it a head start on graphs whose
     vertices differ in second-order structure; any label-invariant coloring
     is sound here.  Colors are the ranks of the sorted (degree, edge lambda
-    histogram, non-edge lambda histogram) signatures.  A block of rows of
-    A A at a time gives each vertex its sorted row of keys, lambda on edges
-    and n + 1 + lambda on non-edges; equal rows mean equal signatures, so
-    one signature is built per distinct row.
+    histogram, non-edge lambda histogram) signatures.  Blocks of rows of A A
+    give each vertex its sorted key row (_lambda_signature); equal rows mean
+    equal signatures, so one signature is built per distinct row.
     """
     n = g.n
     a = dense_adjacency(g, np.float32)
@@ -109,18 +111,14 @@ def vertex_lambda_colors(g: Graph) -> list[int]:
     keys = []
     for r0 in range(0, n, _LAMBDA_ROWS):
         r1 = min(r0 + _LAMBDA_ROWS, n)
-        lam = (a[r0:r1] @ a).astype(np.int32)  # exact, as in lambda_profile
-        lam[a[r0:r1] == 0] += n + 1
+        # the key rows of _lambda_signature, exact as in lambda_profile
+        lam = (a[r0:r1] @ a - (n + 1) * a[r0:r1]).astype(np.int32) + n + 1
         lam[np.arange(r1 - r0), np.arange(r0, r1)] = -1  # v itself sorts first
         lam.sort(axis=1)
         for row in lam:
             key = row.tobytes()
             if key not in sig:
-                vals, counts = np.unique(row[1:], return_counts=True)
-                items = list(zip(vals.tolist(), counts.tolist()))
-                edge = tuple((k, c) for k, c in items if k <= n)
-                nonedge = tuple((k - n - 1, c) for k, c in items if k > n)
-                sig[key] = (sum(c for _, c in edge), edge, nonedge)
+                sig[key] = _lambda_signature(row)
             keys.append(key)
     rank = {s: i for i, s in enumerate(sorted(sig.values()))}
     return [rank[sig[k]] for k in keys]
@@ -144,8 +142,7 @@ def selective_neighbor_count(g: Graph, a: int, b: int, c: int) -> int:
         _check_vertex(v, g.n)
     if len({a, b, c}) != 3:
         raise ValueError("selective_neighbor_count needs three distinct vertices")
-    full = (1 << g.n) - 1
-    mask = g.rows[a] & ~g.rows[b] & ~g.rows[c] & full
+    mask = g.rows[a] & ~g.rows[b] & ~g.rows[c]  # no bit at n or above, as rows[a]
     mask &= ~((1 << a) | (1 << b) | (1 << c))
     return mask.bit_count()
 
@@ -168,23 +165,23 @@ def scan_triple_property(g: Graph) -> bool:
         raise ValueError(f"the triple scan takes at most {_SCAN_MAX_N} vertices, "
                          f"got {n}")
     a = dense_adjacency(g, np.float32)
-    adj = a != 0
-    return any(_selective_pair(a, adj, v) is not None for v in range(n))
+    return any(_selective_pair(a, v) is not None for v in range(n))
 
 
-def _selective_pair(a: np.ndarray, adj: np.ndarray, v: int) -> tuple[int, int] | None:
+def _selective_pair(a: np.ndarray, v: int) -> tuple[int, int] | None:
     """The first pairwise non-adjacent pair (b, c), b < c, non-adjacent to v,
     with lambda(v; b, c) = 1, or None; a is the dense float32 adjacency
-    matrix and adj its bool form (see scan_triple_property)."""
-    nbrs = adj[v]
+    matrix (see scan_triple_property)."""
+    nbrs = a[v] != 0
     others = ~nbrs
     others[v] = False
     if others.sum() < 2:
         return None
-    b = a[others][:, nbrs]
+    rows = a[others]
+    b = rows[:, nbrs]
     shared = b.sum(axis=1)  # lambda(v, x) for x in M
     count = (b @ b.T) - shared[:, None] - shared[None, :] + b.shape[1]
-    free = ~adj[np.ix_(others, others)]
+    free = rows[:, others] == 0
     np.fill_diagonal(free, False)
     hit = free & (count == 1)
     if not hit.any():
@@ -285,37 +282,40 @@ def nonisomorphic(g1: Graph, g2: Graph,
                          isomorphism=tuple(iso))
 
 
-def _lambda_rows(g: Graph, vertices: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The listed vertices' adjacency rows (bool) and lambda rows (int32),
-    lambda[i, u] = lambda(vertices[i], u).
-
-    Each block of 256 rows of A is unpacked in turn and multiplied in
-    float32, exact as in lambda_profile, so memory is O(len(vertices) n)
-    and no n x n matrix is formed.
-    """
+def _lambda_rows(g: Graph, vertices: list[int]) -> np.ndarray:
+    """The listed vertices' key rows (see _lambda_signature): _common_bits of
+    their packed rows and a block of g's at a time (at most 2^18 counts and
+    _BLOCK_WORDS words, stored word-major so each word column is contiguous),
+    so neither an n x n matrix nor g's unpacked rows are formed."""
     n = g.n
-    sub = _unpacked_rows([g.rows[v] for v in vertices], n).astype(np.float32)
+    listed = [g.rows[v] for v in vertices]
+    sub = _packed_rows(listed, n)
+    step = max(1, min((1 << 18) // len(vertices), _BLOCK_WORDS // sub.shape[1]))
+    buf = np.empty((len(vertices), min(step, n)), dtype=np.uint64)
     lam = np.empty((len(vertices), n), dtype=np.int32)
-    for r0 in range(0, n, _LAMBDA_ROWS):
-        block = _unpacked_rows(g.rows[r0:r0 + _LAMBDA_ROWS], n).astype(np.float32)
-        lam[:, r0:r0 + len(block)] = sub @ block.T
-    return sub != 0, lam
+    for r0 in range(0, n, step):
+        block = np.asfortranarray(_packed_rows(g.rows[r0:r0 + step], n))
+        lam[:, r0:r0 + len(block)] = _common_bits(sub, block, buf)
+    lam[_unpacked_rows(listed, n) == 0] += n + 1
+    lam[np.arange(len(vertices)), vertices] = -1
+    return lam
 
 
-def _lambda_signature(adj_row: np.ndarray, lam_row: np.ndarray, v: int):
-    """v's lambda histograms over edges and over non-edges; the first one's
-    total is v's degree."""
-    nonedge = ~adj_row
-    nonedge[v] = False
-    return (_histogram(np.bincount(lam_row[adj_row])),
-            _histogram(np.bincount(lam_row[nonedge])))
+def _lambda_signature(keys: np.ndarray):
+    """(degree, edge lambda histogram, non-edge lambda histogram) of vertex v
+    from its key row, in any order: lambda(v, u) for each neighbour u,
+    n + 1 + lambda(v, u) for each other u, and -1 for v itself."""
+    n = len(keys)
+    counts = np.bincount(keys[keys >= 0], minlength=2 * n + 2)
+    edge = _histogram(counts[:n + 1])
+    return sum(c for _, c in edge), edge, _histogram(counts[n + 1:])
 
 
 def _signature_witness(sig0, sig, v: int) -> str:
     where = ("at vertex 0 of graph 1", f"at vertex {v} of graph 2")
-    if sig0[0] != sig[0]:
-        return _counter_witness(sig0[0], sig[0], "edge common-neighbor count", where)
-    return _counter_witness(sig0[1], sig[1], "non-edge common-neighbor count", where)
+    if sig0[1] != sig[1]:
+        return _counter_witness(sig0[1], sig[1], "edge common-neighbor count", where)
+    return _counter_witness(sig0[2], sig[2], "non-edge common-neighbor count", where)
 
 
 def _selective_witness(v: int, pair, pair0) -> str:
@@ -343,10 +343,9 @@ def transitive_nonisomorphic(g: Graph, mate: Graph,
     Two invariants are compared, cheapest first:
 
     - "transitive-lambda": the signature (degree, edge lambda histogram,
-      non-edge lambda histogram; the degree is the first histogram's
-      total), from the vertices' rows of A A formed a block of rows at a
-      time, so no n x n matrix is formed, and g's vertex-0 row as the
-      popcount of g.rows[0] & r for each row r of g;
+      non-edge lambda histogram), from the vertices' lambda rows of mate
+      and vertex 0's of g, each the popcounts of packed row ANDs formed a
+      block of rows at a time, so no n x n matrix is formed;
     - "transitive-selective", only if that decides nothing and
       n <= _SCAN_MAX_N: whether some pairwise non-adjacent pair (b, c)
       gives lambda(v; b, c) = 1, by scan_triple_property's product at v.
@@ -361,21 +360,17 @@ def transitive_nonisomorphic(g: Graph, mate: Graph,
         _check_vertex(v, mate.n)
     if g.n != mate.n or not vertices:
         return None
-    row0 = g.rows[0]
-    lam0 = np.array([(row0 & r).bit_count() for r in g.rows], dtype=np.int32)
-    sig0 = _lambda_signature(_unpacked_rows([row0], g.n)[0] != 0, lam0, 0)
-    for v, adj_row, lam_row in zip(vertices, *_lambda_rows(mate, vertices)):
-        sig = _lambda_signature(adj_row, lam_row, v)
+    sig0 = _lambda_signature(_lambda_rows(g, [0])[0])
+    for v, keys in zip(vertices, _lambda_rows(mate, vertices)):
+        sig = _lambda_signature(keys)
         if sig != sig0:
             return NonIsoVerdict(True, "transitive-lambda", _signature_witness(sig0, sig, v))
     if g.n > _SCAN_MAX_N:
         return None
-    a = dense_adjacency(g, np.float32)
-    pair0 = _selective_pair(a, a != 0, 0)
+    pair0 = _selective_pair(dense_adjacency(g, np.float32), 0)
     a = dense_adjacency(mate, np.float32)
-    adj = a != 0
     for v in vertices:
-        pair = _selective_pair(a, adj, v)
+        pair = _selective_pair(a, v)
         if (pair is None) != (pair0 is None):
             return NonIsoVerdict(True, "transitive-selective",
                                  _selective_witness(v, pair, pair0))

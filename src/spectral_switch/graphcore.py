@@ -1,7 +1,8 @@
 """Immutable simple graphs with bit-packed adjacency rows.
 
 Vertices are 0..n-1.  Row v is a Python int whose bit u is set iff u ~ v, so
-degree and common-neighbor counts are popcounts.  Graphs are hashable and
+degree and common-neighbor counts are popcounts (_common_bits, on rows packed
+into uint64 words, for many pairs at once).  Graphs are hashable and
 compare by (n, rows, labels).  Serialization: bit-exact graph6 and a plain
 edge-list JSON form.
 """
@@ -43,12 +44,42 @@ def _check_vertex(v: int, n: int) -> None:
         raise ValueError(f"vertex {v} out of range for n={n}")
 
 
+def _packed_rows(rows: Sequence[int], n: int) -> np.ndarray:
+    """The len(rows) x ceil(n / 64) uint64 array whose row i holds the bits
+    of rows[i], least significant word first."""
+    words = (n + 63) // 64
+    buf = b"".join(row.to_bytes(8 * words, "little") for row in rows)
+    return np.frombuffer(buf, dtype="<u8").reshape(len(rows), words)
+
+
 def _unpacked_rows(rows: Sequence[int], n: int) -> np.ndarray:
     """The len(rows) x n uint8 0/1 matrix with entry [i, u] = bit u of rows[i]."""
-    nbytes = (n + 7) // 8
-    buf = b"".join(row.to_bytes(nbytes, "little") for row in rows)
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
-    return np.unpackbits(packed, axis=1, bitorder="little", count=n)
+    return np.unpackbits(_packed_rows(rows, n).view(np.uint8), axis=1,
+                         bitorder="little", count=n)
+
+
+_BYTE_BITS = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each element of a uint64 array, as uint8."""
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(x)
+    # numpy < 2: count the eight bytes of each element through a table
+    return _BYTE_BITS[x[..., None].view(np.uint8)].sum(axis=-1, dtype=np.uint8)
+
+
+def _common_bits(block: np.ndarray, masks: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """[i, j] = how many bits packed rows block[i] and masks[j] share.  One
+    word column at a time is ANDed into buf, a uint64 work array at least that
+    shape, and its popcounts are summed in the least type that holds them."""
+    out = buf[:len(block), :len(masks)]
+    np.bitwise_and(block[:, :1], masks[:, 0], out=out)
+    cnt = _popcount(out).astype(np.min_scalar_type(64 * block.shape[1]), copy=False)
+    for w in range(1, block.shape[1]):
+        np.bitwise_and(block[:, w, None], masks[:, w], out=out)
+        cnt += _popcount(out)
+    return cnt
 
 
 def dense_adjacency(g: "Graph", dtype=np.float64) -> np.ndarray:
@@ -276,7 +307,6 @@ def decode_graph6(data: bytes | str) -> Graph:
         data = data[10:]
     if not data:
         raise Graph6ParseError("empty input", 0)
-    pos = 0
 
     def sixbits(off: int) -> int:
         b = data[off]
@@ -284,24 +314,14 @@ def decode_graph6(data: bytes | str) -> Graph:
             raise Graph6ParseError(f"byte {b!r} outside graph6 range 63..126", off)
         return b - 63
 
-    if data[0] == 126:
-        if len(data) >= 2 and data[1] == 126:
-            if len(data) < 8:
-                raise Graph6ParseError("truncated 8-byte size header", len(data))
-            n = 0
-            for off in range(2, 8):
-                n = (n << 6) | sixbits(off)
-            pos = 8
-        else:
-            if len(data) < 4:
-                raise Graph6ParseError("truncated 4-byte size header", len(data))
-            n = 0
-            for off in range(1, 4):
-                n = (n << 6) | sixbits(off)
-            pos = 4
-    else:
-        n = sixbits(0)
-        pos = 1
+    # n is one byte, or 126 and three bytes, or 126, 126 and six bytes
+    skip = (data[0] == 126) + (data[:2] == b"~~")
+    pos = (1, 4, 8)[skip]
+    if len(data) < pos:
+        raise Graph6ParseError(f"truncated {pos}-byte size header", len(data))
+    n = 0
+    for off in range(skip, pos):
+        n = (n << 6) | sixbits(off)
 
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6

@@ -11,7 +11,8 @@ meet in dimension d exactly when they share (q^d - 1)/(q - 1) points, so the
 Grassmann graph is the Johnson kernel applied to point masks, with the
 allowed counts {(q^s - 1)/(q - 1) : s in S}.  Point masks are formed in
 numpy for all subspaces at once; a point's bit is the rank of its normalized
-vector read base q, not its first-seen order, and rows read only popcounts.
+vector read base q, not its first-seen order, and rows read only popcounts
+(graphcore._common_bits, the kernel of certify's transitive rung too).
 
 Vertex order is canonical and deterministic: subsets ascend by bitmask value
 (colex), subspaces sort by pivot-column tuple then by the flattened RREF
@@ -28,7 +29,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .algebra import binom, field_table, gauss_binom, SUPPORTED_Q
-from .graphcore import Graph, _bit_rows
+from .graphcore import Graph, _bit_rows, _common_bits, _integer, _packed_rows
 
 __all__ = [
     "SchemeParams",
@@ -106,9 +107,12 @@ class SchemeParams:
     def __post_init__(self):
         if self.kind not in ("johnson", "grassmann"):
             raise ValueError(f"unknown scheme kind {self.kind!r}")
+        # integers only, as in Graph: int() would read S = {2.7} as {2}
+        for name in ("n", "k"):
+            object.__setattr__(self, name, _integer(getattr(self, name)))
         if not 1 <= self.k <= self.n:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        S = frozenset(int(s) for s in self.S)
+        S = frozenset(map(_integer, self.S))
         object.__setattr__(self, "S", S)
         if not S:
             raise ValueError("S must be a nonempty set of intersection sizes")
@@ -117,6 +121,7 @@ class SchemeParams:
         if self.kind == "grassmann":
             if self.q is None:
                 raise ValueError("grassmann schemes need q")
+            object.__setattr__(self, "q", _integer(self.q))
             if self.q not in SUPPORTED_Q:
                 raise ValueError(
                     f"unsupported q={self.q}; supported: {sorted(SUPPORTED_Q)}"
@@ -254,20 +259,6 @@ def grassmann_rank(basis, q: int) -> int:
     return offset + r
 
 
-@cache
-def _byte_bits() -> np.ndarray:
-    """Set bits of each byte value, the table _popcount uses on numpy < 2."""
-    return np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
-def _popcount(x):
-    """Set bits of each element of a uint64 array."""
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(x)
-    # numpy < 2: count the eight bytes of each element through a table
-    return _byte_bits()[x[..., None].view(np.uint8)].sum(axis=-1, dtype=np.uint8)
-
-
 def _masks(p: SchemeParams, verts) -> np.ndarray:
     """(N, words) uint64 array: row v has the bits of v's points set.
 
@@ -275,9 +266,7 @@ def _masks(p: SchemeParams, verts) -> np.ndarray:
     nonzero coefficient is 1, which are its normalized vectors.
     """
     if p.kind == "johnson":
-        words = (p.n + 63) // 64
-        buf = b"".join(m.to_bytes(8 * words, "little") for m in verts)
-        return np.frombuffer(buf, dtype="<u8").reshape(len(verts), words)
+        return _packed_rows(verts, p.n)
     f = field_table(p.q)
     add, mul = np.array(f.add, dtype=np.uint8), np.array(f.mul, dtype=np.uint8)
     bases = np.array(verts, dtype=np.uint8)  # (N, k, n)
@@ -301,20 +290,13 @@ def _adjacency_rows(masks: np.ndarray, counts) -> list[int]:
     own neighbour.  Blocks of at most 128 rows and 2^18 entries (2 MiB, to
     stay in cache) become row ints one at a time: no n x n array is formed.
     """
-    n_vertices, words = masks.shape
+    n_vertices = len(masks)
     step = min(128, max(1, (1 << 18) // n_vertices))
     buf = np.empty((step, n_vertices), dtype=masks.dtype)
-    dtype = np.min_scalar_type(64 * words)
     first, *rest = counts
     rows = []
     for lo in range(0, n_vertices, step):
-        block = masks[lo:lo + step]
-        out = buf[:len(block)]
-        np.bitwise_and(block[:, :1], masks[:, 0], out=out)
-        cnt = _popcount(out).astype(dtype, copy=False)
-        for w in range(1, words):
-            np.bitwise_and(block[:, w, None], masks[:, w], out=out)
-            cnt += _popcount(out)
+        cnt = _common_bits(masks[lo:lo + step], masks, buf)
         hit = cnt == first
         for c in rest:
             hit |= cnt == c

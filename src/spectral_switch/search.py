@@ -48,7 +48,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.mode not in ("gm4", "wqh33"):
             raise ValueError(f"unknown search mode {self.mode!r}")
-        if self.max_candidates <= 0 or self.time_budget <= 0:
+        if not (self.max_candidates > 0 and self.time_budget > 0):  # NaN is not > 0
             raise ValueError("budgets must be positive")
 
 

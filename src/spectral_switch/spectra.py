@@ -513,14 +513,14 @@ def cospectral(g1: Graph, g2: Graph, num_primes: int = 3, seed: int = 0,
     """
     if num_primes < 1:
         raise ValueError("need at least one prime")
-    return _cospectral(g1, g2, random_primes(num_primes, seed), seed, spec)
+    return _cospectral(g1, g2, num_primes, seed, spec)
 
 
-def _cospectral(g1: Graph, g2: Graph, primes: tuple[int, ...], seed: int, spec=None,
+def _cospectral(g1: Graph, g2: Graph, primes: int | tuple[int, ...], seed: int, spec=None,
                 coeffs1: tuple[tuple[int, ...], ...] | None = None) -> CospectralVerdict:
-    """cospectral at the given primes; coeffs1, if given, holds g1's
-    charpolys at those primes (a signature's coeffs), so none is computed
-    twice."""
+    """cospectral at the given primes, or at random_primes(primes, seed) drawn
+    only when the charpoly test runs; coeffs1, if given, holds g1's charpolys
+    at those primes (a signature's coeffs), so none is computed twice."""
     if spec is not None and switching_certificate(g1, g2, spec):
         return CospectralVerdict(True, (), None, 0.0, "switching")
     if g1.n != g2.n:
@@ -529,6 +529,8 @@ def _cospectral(g1: Graph, g2: Graph, primes: tuple[int, ...], seed: int, spec=N
         verdict = _minimal_polynomial_verdict(g1, g2, seed)
         if verdict is not None:
             return verdict
+    if isinstance(primes, int):
+        primes = random_primes(primes, seed)
     for k, p in enumerate(primes):
         c1 = coeffs1[k] if coeffs1 is not None else charpoly_mod_p(g1, p)
         c2 = charpoly_mod_p(g2, p)

@@ -5,6 +5,7 @@ import random
 import re
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from spectral_switch import canon, certify
@@ -25,7 +26,7 @@ from spectral_switch.families import (
     recipe_qkneser,
     run_recipe,
 )
-from spectral_switch.graphcore import Graph
+from spectral_switch.graphcore import Graph, dense_adjacency
 from spectral_switch.schemes import SchemeParams, build
 
 from oracles import (
@@ -490,17 +491,23 @@ def test_selective_rung_only_up_to_the_scan_limit(corpus_reports, monkeypatch):
     assert transitive_nonisomorphic(rep.graph, rep.mate, vertices) is None
 
 
-def test_transitive_rung_lambda_rows_cross_row_blocks():
-    """Lambda rows are formed 256 rows of A at a time; on a 600-vertex graph
-    every block must land in its own columns."""
-    g = random_graph(600, 0.1, 5)
-    vertices = [0, 255, 256, 599]
-    adj, lam = certify._lambda_rows(g, vertices)
-    for v, adj_row, lam_row in zip(vertices, adj, lam):
-        assert adj_row.tolist() == [g.has_edge(v, u) if u != v else False
-                                    for u in range(g.n)]
-        assert lam_row.tolist() == [(g.rows[v] & g.rows[u]).bit_count()
-                                    for u in range(g.n)]
+@pytest.mark.parametrize("bitwise_count", [True, False], ids=["numpy", "byte-table"])
+@pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+def test_transitive_rung_lambda_rows_cross_row_blocks(monkeypatch, n, bitwise_count):
+    """Key rows (lambda on edges, n + 1 + lambda on non-edges, -1 at the
+    vertex itself) are packed-row popcounts formed a block of rows at a
+    time; at 1 to 3 words per row, and in blocks of 37 words, every block
+    must land in its own columns and every word must count, with numpy's
+    popcount or the byte table that numpy < 2 uses."""
+    if not bitwise_count:
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+    monkeypatch.setattr(certify, "_BLOCK_WORDS", 37)
+    g = random_graph(n, 0.5, n)
+    vertices = [0, 36, 37, n - 1]
+    a = dense_adjacency(g, np.int64)
+    want = a[vertices] @ a + (n + 1) * (1 - a[vertices])
+    want[range(4), vertices] = -1
+    assert certify._lambda_rows(g, vertices).tolist() == want.tolist()
 
 
 def test_transitive_rung_checks_its_vertices():

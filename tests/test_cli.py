@@ -386,6 +386,13 @@ def test_search_nonpositive_budget_is_usage_error(capsys, flag):
     assert err == "error: budgets must be positive\n"
 
 
+def test_search_nan_budget_is_usage_error(capsys):
+    """A NaN time budget would never run out: it is refused like 0."""
+    code, out, err = run(capsys, "search", "--mode", "gm4",
+                         "--graph", "Jq{0}(4,2;q=2)", "--budget", "nan")
+    assert (code, out, err) == (cli.EXIT_USAGE, "", "error: budgets must be positive\n")
+
+
 @pytest.mark.parametrize("value", ["0", "-2"])
 @pytest.mark.parametrize("command", [
     ("verify", "--graph", "J{2}(8,4)", "--spec", "spec.json"),

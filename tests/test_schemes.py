@@ -6,13 +6,12 @@ import pytest
 
 from spectral_switch.algebra import SUPPORTED_Q
 from spectral_switch.canon import canonical_form
-from spectral_switch.graphcore import Graph
+from spectral_switch.graphcore import Graph, _popcount
 from spectral_switch.schemes import (
     SchemeParams,
     VertexCapExceeded,
     _adjacency_rows,
     _masks,
-    _popcount,
     _subspace_bases,
     build,
     count_vertices,
@@ -62,6 +61,26 @@ def test_parse_rejections():
             SchemeParams.parse(text)
     for text in ("J{1, 2}(8,4)", "J{ 1 ,2 }(8,4)"):
         assert SchemeParams.parse(text) == SchemeParams.johnson(8, 4, {1, 2})
+
+
+@pytest.mark.parametrize("args", [
+    ("johnson", 8, 4, {2.7}),  # int() would make this J{2}(8,4)
+    ("johnson", 8.0, 4, {2}),
+    ("johnson", 8, 4.5, {2}),
+    ("johnson", 8, 4, {True}),
+    ("johnson", 8, 4, {"2"}),
+    ("grassmann", 4, 2, {0}, 2.0),
+    ("grassmann", 4, 2, {0}, True),
+])
+def test_params_take_integers_only(args):
+    with pytest.raises(TypeError):
+        SchemeParams(*args)
+
+
+def test_params_keep_integer_types():
+    p = SchemeParams.grassmann(np.int64(4), np.int64(2), {np.int64(0)}, np.int64(2))
+    assert p == SchemeParams.parse("Jq{0}(4,2;q=2)")
+    assert {type(x) for x in (p.n, p.k, p.q, *p.S)} == {int}
 
 
 def test_count_vertices_frozen():

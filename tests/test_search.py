@@ -41,6 +41,8 @@ def test_config_validation():
         SearchConfig(max_candidates=0)
     with pytest.raises(ValueError, match="positive"):
         SearchConfig(time_budget=0)
+    with pytest.raises(ValueError, match="positive"):
+        SearchConfig(time_budget=float("nan"))  # a NaN deadline never passes
 
 
 def test_gm4_raw_scan_on_q2_kneser(k242):
