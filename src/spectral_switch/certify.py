@@ -20,8 +20,9 @@ first takes lambda rows from graphcore._common_bits, the scheme build's
 kernel, and signatures from _lambda_signature, as vertex_lambda_colors does.
 
 Also provides the selective neighbor count lambda(a; b, c) = #{x ~ a, x !~ b,
-x !~ c} and an exhaustive scan for pairwise non-adjacent triples realizing
-lambda(a; b, c) = 1, one float32 product per vertex a.
+x !~ c}; the "transitive-selective" level scans each listed vertex a for a
+pairwise non-adjacent triple realizing lambda(a; b, c) = 1, one float32
+product per vertex.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "lambda_profile",
     "vertex_lambda_colors",
     "selective_neighbor_count",
-    "scan_triple_property",
     "NonIsoVerdict",
     "nonisomorphic",
     "transitive_nonisomorphic",
@@ -147,31 +147,21 @@ def selective_neighbor_count(g: Graph, a: int, b: int, c: int) -> int:
     return mask.bit_count()
 
 
-_SCAN_MAX_N = 2048  # largest vertex count scan_triple_property accepts
-
-
-def scan_triple_property(g: Graph) -> bool:
-    """Does some pairwise non-adjacent triple (a,b,c) have lambda(a;b,c) = 1?
-
-    Exhaustive, and every vertex is tried as a.  With N the neighbours of
-    a, M its other non-neighbours and B = A[M, N], every x counted by
-    lambda(a; b, c) lies in N, so by inclusion-exclusion, for b, c in M,
-    lambda(a; b, c) = d(a) - lambda(a, b) - lambda(a, c) + (B B^T)[b, c],
-    where lambda(a, b) is row b's sum in B.  One product per vertex, in
-    float32, exact here: every entry is a count of at most n < 2^24.
-    """
-    n = g.n
-    if n > _SCAN_MAX_N:
-        raise ValueError(f"the triple scan takes at most {_SCAN_MAX_N} vertices, "
-                         f"got {n}")
-    a = dense_adjacency(g, np.float32)
-    return any(_selective_pair(a, v) is not None for v in range(n))
+_SCAN_MAX_N = 2048  # largest vertex count the "transitive-selective" level scans
 
 
 def _selective_pair(a: np.ndarray, v: int) -> tuple[int, int] | None:
     """The first pairwise non-adjacent pair (b, c), b < c, non-adjacent to v,
     with lambda(v; b, c) = 1, or None; a is the dense float32 adjacency
-    matrix (see scan_triple_property)."""
+    matrix.
+
+    Exhaustive over the pairs at v.  With N the neighbours of v, M its other
+    non-neighbours and B = A[M, N], every x counted by lambda(v; b, c) lies
+    in N, so by inclusion-exclusion, for b, c in M,
+    lambda(v; b, c) = d(v) - lambda(v, b) - lambda(v, c) + (B B^T)[b, c],
+    where lambda(v, b) is row b's sum in B.  One product, in float32, exact
+    here: every entry is a count of at most n < 2^24.
+    """
     nbrs = a[v] != 0
     others = ~nbrs
     others[v] = False
@@ -348,7 +338,7 @@ def transitive_nonisomorphic(g: Graph, mate: Graph,
       block of rows at a time, so no n x n matrix is formed;
     - "transitive-selective", only if that decides nothing and
       n <= _SCAN_MAX_N: whether some pairwise non-adjacent pair (b, c)
-      gives lambda(v; b, c) = 1, by scan_triple_property's product at v.
+      gives lambda(v; b, c) = 1, by _selective_pair's product at v.
 
     The witness names the vertex of mate and its first entry that differs
     from vertex 0's.  None means neither invariant separates the graphs at

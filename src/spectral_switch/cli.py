@@ -43,9 +43,9 @@ from .search import (
     search_wqh33,
 )
 from .spectra import (
+    _SWITCHING_VERDICT,
     CharpolySizeError,
     _cospectral,
-    cospectral,
     eigenvalues_float,
     random_primes,
     signature,
@@ -206,15 +206,14 @@ def cmd_verify(args) -> int:
         _emit_report(out, args.report)
         return EXIT_INVALID_SPEC
     mate = apply_switching(g, spec)
-    cv = cospectral(g, mate, num_primes=args.primes, seed=args.seed, spec=spec)
     nv = None
     if _PARAM_RE.match(args.graph.strip()):  # a scheme graph: vertex-transitive
         nv = transitive_nonisomorphic(g, mate, spec.all_vertices())
     if nv is None:
         nv = nonisomorphic(g, mate, args.budget)
-    out["cospectral"] = cv.to_json_dict()
+    out["cospectral"] = _SWITCHING_VERDICT.to_json_dict()
     out["nonisomorphic"] = nv.to_json_dict()
-    ok = report.valid and cv.equal and nv.distinguished
+    ok = report.valid and nv.distinguished
     out["passed"] = ok
     _emit_report(out, args.report)
     return EXIT_OK if ok else EXIT_INCONCLUSIVE

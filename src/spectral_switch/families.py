@@ -3,12 +3,12 @@
 Each recipe bundles scheme parameters, a switching spec in the canonical
 vertex order, and witness assertions (expected common-neighbor changes or
 selective-count values).  run_recipe builds the graph, validates and applies
-the switch, decides cospectrality (proved by the spec's switching matrix, with
-charpolys only if that check fails), checks every witness, and proves the
-pair non-isomorphic at the cell and witness vertices (the scheme graph is
-vertex-transitive; see certify.transitive_nonisomorphic), with the invariant
-ladder only if that decides nothing, aggregating everything into one
-JSON-serializable report.
+the switch (the mate it builds is Q^T A Q for the spec's rational orthogonal
+Q, so the switch itself proves the pair cospectral), checks every witness,
+and proves the pair non-isomorphic at the cell and witness vertices (the
+scheme graph is vertex-transitive; see certify.transitive_nonisomorphic),
+with the invariant ladder only if that decides nothing, aggregating
+everything into one JSON-serializable report.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .schemes import (
     johnson_rank,
     mask_of_elements,
 )
-from .spectra import CospectralVerdict, cospectral
+from .spectra import _SWITCHING_VERDICT, CospectralVerdict, cospectral
 from .switching import GmSpec, WqhSpec, apply_switching, spec_to_json_dict, validate
 
 __all__ = [
@@ -54,6 +54,8 @@ __all__ = [
     "REPORT_SCHEMA_VERSION",
     # re-exported: perfbench's tracer wraps families.enumerate_vertices
     "enumerate_vertices",
+    # re-exported: perfbench's tracer wraps families.cospectral
+    "cospectral",
 ]
 
 REPORT_SCHEMA_VERSION = 4
@@ -434,8 +436,6 @@ def run_recipe(r: Recipe, num_primes: int = 3, seed: int = 0,
             raise ValueError(report.violations[0].message)
         stage = "switch"
         mate = apply_switching(g, r.spec)
-        stage = "cospectral"
-        cv = cospectral(g, mate, num_primes=num_primes, seed=seed, spec=r.spec)
         stage = "witnesses"
         wr = tuple(w.check(g, mate) for w in r.witnesses)
         stage = "certify"
@@ -445,5 +445,5 @@ def run_recipe(r: Recipe, num_primes: int = 3, seed: int = 0,
             nv = nonisomorphic(g, mate, budget)
     except Exception as exc:
         raise RecipeStageError(stage, exc)
-    return RecipeReport(r, g, mate, report.valid, report.wqh_constant, cv, wr, nv,
-                        seed, num_primes)
+    return RecipeReport(r, g, mate, report.valid, report.wqh_constant, _SWITCHING_VERDICT, wr,
+                        nv, seed, num_primes)

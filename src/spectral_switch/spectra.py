@@ -1,13 +1,12 @@
-"""Cospectrality: switching certificates, minimal polynomials, and
-charpolys modulo 31-bit primes.
+"""Cospectrality: minimal polynomials and charpolys modulo 31-bit primes.
 
-cospectral tries three methods, cheapest first.  With the switching spec
-that relates a pair, it checks Q^T A Q = A' exactly for the spec's switching
-matrix Q (switching.switching_certificate); if that holds, "cospectral" is a
-proof and nothing else is computed.
+A pair that switching.apply_switching built needs neither: the mate is
+Q^T A Q for the rational orthogonal Q of its spec (see the switching module
+docstring), so its callers record _SWITCHING_VERDICT and compute nothing.
 
-Otherwise, for graphs on n <= MAX_CHARPOLY_N vertices, it looks for a
-polynomial p(x) = (x - t_1) ... (x - t_r) with distinct integer roots that
+cospectral tries two methods, cheapest first.  For graphs on
+n <= MAX_CHARPOLY_N vertices, it looks for a polynomial
+p(x) = (x - t_1) ... (x - t_r) with distinct integer roots that
 annihilates both adjacency matrices.  A symmetric matrix with p(A) = 0 has
 its spectrum in {t_i}, and the multiplicities m_i solve
 sum_i m_i P_j(t_i) = tr P_j(A) for j < r, where P_j = (x - t_1) ... (x - t_j):
@@ -58,7 +57,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphcore import Graph, dense_adjacency
-from .switching import switching_certificate
 
 __all__ = [
     "is_probable_prime",
@@ -386,6 +384,12 @@ class CospectralVerdict:
         return out
 
 
+# The verdict of a pair that switching.apply_switching built: the mate is
+# Q^T A Q for a rational orthogonal Q, exactly (the switching module
+# docstring has the proof), so it is a proof with no primes and error bound 0.
+_SWITCHING_VERDICT = CospectralVerdict(True, (), None, 0.0, "switching")
+
+
 # A proven lower bound on the number of primes in (2^30, 2^31), from
 # x / (ln x - 1) <= pi(x) for x >= 5393 and pi(x) <= x / (ln x - 1.1) for
 # x >= 60184 (Dusart, arXiv:1002.0442); one is taken off for
@@ -496,33 +500,28 @@ def _minimal_polynomial_verdict(g1: Graph, g2: Graph, seed: int) -> CospectralVe
     return CospectralVerdict(equal, (), None, 0.0 if equal else None, "minimal-polynomial")
 
 
-def cospectral(g1: Graph, g2: Graph, num_primes: int = 3, seed: int = 0,
-               spec=None) -> CospectralVerdict:
+def cospectral(g1: Graph, g2: Graph, num_primes: int = 3, seed: int = 0) -> CospectralVerdict:
     """Decide whether g1 and g2 are cospectral.
 
-    With a switching spec whose matrix Q satisfies Q^T A1 Q = A2
-    (switching.switching_certificate), "equal" is a proof: method
-    "switching", no primes, error bound 0.  Otherwise, graphs on different
-    vertex counts are never cospectral.  Then, on at most MAX_CHARPOLY_N
-    vertices, a polynomial with distinct integer roots that annihilates A1
-    decides the pair exactly (method "minimal-polynomial", no primes, error
-    bound 0 when equal).  Failing that, the one-sided Monte Carlo charpoly
-    test runs (method "charpoly"): "not equal" is certain and "equal" holds
-    up to the reported error bound.  Primes are tried one at a time and the
-    test stops at the first that separates the graphs.
+    Graphs on different vertex counts are never cospectral.  Then, on at
+    most MAX_CHARPOLY_N vertices, a polynomial with distinct integer roots
+    that annihilates A1 decides the pair exactly (method
+    "minimal-polynomial", no primes, error bound 0 when equal).  Failing
+    that, the one-sided Monte Carlo charpoly test runs (method "charpoly"):
+    "not equal" is certain and "equal" holds up to the reported error bound.
+    Primes are tried one at a time and the test stops at the first that
+    separates the graphs.
     """
     if num_primes < 1:
         raise ValueError("need at least one prime")
-    return _cospectral(g1, g2, num_primes, seed, spec)
+    return _cospectral(g1, g2, num_primes, seed)
 
 
-def _cospectral(g1: Graph, g2: Graph, primes: int | tuple[int, ...], seed: int, spec=None,
+def _cospectral(g1: Graph, g2: Graph, primes: int | tuple[int, ...], seed: int,
                 coeffs1: tuple[tuple[int, ...], ...] | None = None) -> CospectralVerdict:
     """cospectral at the given primes, or at random_primes(primes, seed) drawn
     only when the charpoly test runs; coeffs1, if given, holds g1's charpolys
     at those primes (a signature's coeffs), so none is computed twice."""
-    if spec is not None and switching_certificate(g1, g2, spec):
-        return CospectralVerdict(True, (), None, 0.0, "switching")
     if g1.n != g2.n:
         return CospectralVerdict(False, (), None, None)
     if 0 < g1.n <= MAX_CHARPOLY_N:

@@ -2,12 +2,13 @@
 
 Each switch is an involution A -> Q^T A Q for a rational orthogonal Q,
 block-diagonal over the cells and the identity elsewhere, so it keeps the
-characteristic polynomial.  apply_switching and switching_certificate form
-Q^T A Q from the cell rows alone, and the validators read only those rows
-too: v's count in a cell is a column sum of the cell rows, since A is
-symmetric.  A spec is valid exactly when Q^T A Q is a 0/1 matrix that
-agrees with A on the cells, so apply_switching checks that instead of
-validating:
+characteristic polynomial.  apply_switching forms Q^T A Q from the cell
+rows alone, and the validators read only those rows too: v's count in a
+cell is a column sum of the cell rows, since A is symmetric.  A spec is
+valid exactly when Q^T A Q is a 0/1 matrix that agrees with A on the cells,
+so apply_switching checks that instead of validating, and a mate it returns
+is Q^T A Q exactly: that proves the pair cospectral, with nothing to
+recheck:
 
 - GM: disjoint even cells C_1..C_t, Q_i = (2/m_i) J - I on a cell of size
   m_i.  An outside column a with c neighbors in C_i maps to (2c/m_i) 1 - a:
@@ -48,7 +49,6 @@ __all__ = [
     "validate_wqh",
     "validate",
     "apply_switching",
-    "switching_certificate",
     "spec_to_json_dict",
     "spec_from_json_dict",
 ]
@@ -223,7 +223,10 @@ def apply_switching(g: Graph, spec) -> Graph:
         more = len(report.violations) - 1
         raise InvalidSpecError(f"{kind} conditions fail: {report.violations[0].message}"
                                + (f" (+{more} more)" if more else ""))
-    return Graph(g.n, _switched_rows(g, delta), g.labels, validate=False)
+    rows = list(g.rows)
+    for v, d in delta.items():
+        rows[v] ^= d
+    return Graph(g.n, rows, g.labels, validate=False)
 
 
 def _switching_matrix(spec) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
@@ -281,22 +284,6 @@ def _conjugate(g: Graph, spec) -> dict[int, int] | None:
     return delta
 
 
-def _switched_rows(g: Graph, delta: dict[int, int]) -> list[int]:
-    """The rows of g, each XORed with its entry in delta."""
-    rows = list(g.rows)
-    for v, d in delta.items():
-        rows[v] ^= d
-    return rows
-
-
-def switching_certificate(g: Graph, mate: Graph, spec) -> bool:
-    """True iff Q^T A Q = A' for the switching matrix Q of spec, where A and
-    A' are the adjacency matrices of g and mate; then the pair is cospectral,
-    whether or not the spec is valid."""
-    delta = _conjugate(g, spec) if mate.n == g.n else None
-    return delta is not None and _switched_rows(g, delta) == list(mate.rows)
-
-
 def _resolve_vertices(entries, g: Graph | None):
     """Map a JSON cell (indices or label strings) to vertex indices."""
     if not isinstance(entries, list):
@@ -337,10 +324,21 @@ def spec_from_json_dict(obj: dict, g: Graph | None = None):
         cells = body.get("cells") if isinstance(body, dict) else None
         if not isinstance(cells, list):
             raise ValueError("gm spec needs a 'cells' list")
+        _no_other_keys("gm", body, ("cells",))
         return GmSpec([_resolve_vertices(c, g) for c in cells])
     if "wqh" in obj:
         body = obj["wqh"]
         if not isinstance(body, dict) or "c1" not in body or "c2" not in body:
             raise ValueError("wqh spec needs 'c1' and 'c2' lists")
+        _no_other_keys("wqh", body, ("c1", "c2"))
         return WqhSpec(_resolve_vertices(body["c1"], g), _resolve_vertices(body["c2"], g))
     raise ValueError("spec JSON must contain 'gm' or 'wqh'")
+
+
+def _no_other_keys(kind: str, body: dict, keys: tuple[str, ...]) -> None:
+    """Refuse a spec body with keys beyond its cell lists, which would
+    otherwise be dropped unread."""
+    extra = [k for k in body if k not in keys]
+    if extra:
+        raise ValueError(f"{kind} spec has unknown keys {', '.join(map(repr, extra))}; "
+                         f"it takes only {', '.join(map(repr, keys))}")

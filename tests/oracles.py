@@ -665,6 +665,20 @@ def scan_triple_property_reference(g) -> bool:
     return False
 
 
+def selective_pair_reference(g, v):
+    """The first pair (b, c), b < c in lexicographic order, with v, b and c
+    pairwise non-adjacent and lambda(v; b, c) = 1, each pair counted by
+    selective_neighbor_count; None if there is none."""
+    from spectral_switch.certify import selective_neighbor_count as count
+
+    free = [u for u in range(g.n) if u != v and not g.has_edge(u, v)]
+    for i, b in enumerate(free):
+        for c in free[i + 1:]:
+            if not g.has_edge(b, c) and count(g, v, b, c) == 1:
+                return b, c
+    return None
+
+
 class SearchReference:
     """canon's depth-first individualization-refinement as it was before
     backjumping: a leaf equivalent to the best leaf adds a generator, and

@@ -8,12 +8,10 @@ import random
 import time
 from contextlib import contextmanager
 
+import numpy as np
+
 from spectral_switch.algebra import binom, gauss_binom
-from spectral_switch.certify import (
-    canonical_form,
-    lambda_profile,
-    scan_triple_property,
-)
+from spectral_switch.certify import _selective_pair, canonical_form, lambda_profile
 from spectral_switch.families import (
     SPORADIC_NAMES,
     recipe_halfrange_2kk,
@@ -22,7 +20,7 @@ from spectral_switch.families import (
     recipe_sporadic,
     run_recipe,
 )
-from spectral_switch.graphcore import Graph, decode_graph6, encode_graph6
+from spectral_switch.graphcore import Graph, decode_graph6, dense_adjacency, encode_graph6
 from spectral_switch.schemes import (
     SchemeParams,
     build,
@@ -112,9 +110,11 @@ def test_criterion_3_q_kneser_pairs(corpus_reports, k242):
         assert rep42.graph.n == 35
         assert rep42.validation_valid and rep42.cospectral_verdict.equal
         assert all(w.passed for w in rep42.witness_results)
-        # the distinguishing property never holds anywhere in the original
-        assert scan_triple_property(rep42.graph) is False
-        assert scan_triple_property(rep42.mate) is True
+        # the distinguishing property never holds in the original: it is
+        # vertex-transitive, so vertex 0 stands for every vertex; the mate
+        # is told apart by it at a listed vertex
+        assert _selective_pair(dense_adjacency(rep42.graph, np.float32), 0) is None
+        assert rep42.noniso_verdict.level == "transitive-selective"
 
         r63 = recipe_qkneser(6, 3)
         g63 = build(r63.params)

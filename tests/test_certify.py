@@ -12,10 +12,10 @@ from spectral_switch import canon, certify
 from spectral_switch.certify import (
     LADDER_LEVELS,
     NonIsoVerdict,
+    _selective_pair,
     canonical_form,
     lambda_profile,
     nonisomorphic,
-    scan_triple_property,
     selective_neighbor_count,
     transitive_nonisomorphic,
     vertex_lambda_colors,
@@ -32,6 +32,7 @@ from spectral_switch.schemes import SchemeParams, build
 from oracles import (
     scan_triple_property_reference,
     selective_count_brute,
+    selective_pair_reference,
     vertex_lambda_colors_reference,
 )
 
@@ -106,31 +107,34 @@ def test_selective_count_refuses_vertices_out_of_range():
             selective_neighbor_count(g, *triple)
 
 
-def test_scan_triple_property():
-    # a-b path plus two isolated vertices: lambda(b; c, d) = 1 via a
-    g = Graph.from_edges(4, [(0, 1)])
-    assert scan_triple_property(g) is True
+def _selective_pairs(g):
+    """_selective_pair at every vertex of g."""
+    a = dense_adjacency(g, np.float32)
+    return [_selective_pair(a, v) for v in range(g.n)]
+
+
+def test_selective_pair_hand_examples():
+    # a-b path plus two isolated vertices: lambda(a; c, d) = 1 via b and
+    # lambda(b; c, d) = 1 via a; c and d have no neighbours to count
+    assert _selective_pairs(Graph.from_edges(4, [(0, 1)])) == [(2, 3), (2, 3), None, None]
     # empty graph: every selective count is 0
-    assert scan_triple_property(Graph(5, [0] * 5)) is False
+    assert _selective_pairs(Graph(5, [0] * 5)) == [None] * 5
     # complete graph has no non-adjacent triples at all
-    assert scan_triple_property(complete(5)) is False
-
-
-def test_scan_triple_property_size_limit(monkeypatch):
-    monkeypatch.setattr(certify, "_SCAN_MAX_N", 8)
-    assert scan_triple_property(Graph(8, [0] * 8)) is False
-    with pytest.raises(ValueError, match="at most 8 vertices, got 9"):
-        scan_triple_property(Graph(9, [0] * 9))
+    assert _selective_pairs(complete(5)) == [None] * 5
 
 
 def test_scan_matches_reference_on_random_graphs():
-    """Seeded G(n, p) graphs with n <= 12, both outcomes many times over."""
+    """Seeded G(n, p) graphs with n <= 12: the pair at every vertex is the
+    reference's, and some vertex has one exactly when the whole-graph triple
+    reference finds a triple, both outcomes many times over."""
     outcomes = {True: 0, False: 0}
     for seed in range(2400):
         rng = random.Random(seed)
         g = random_graph(rng.randrange(0, 13), rng.choice((0.2, 0.35, 0.5, 0.65, 0.8)),
                          seed)
-        got = scan_triple_property(g)
+        pairs = _selective_pairs(g)
+        assert pairs == [selective_pair_reference(g, v) for v in range(g.n)], seed
+        got = any(p is not None for p in pairs)
         assert got == scan_triple_property_reference(g), seed
         outcomes[got] += 1
     assert min(outcomes.values()) > 500, outcomes
@@ -138,30 +142,33 @@ def test_scan_matches_reference_on_random_graphs():
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_scan_matches_reference_on_qkneser_pairs(n):
-    from spectral_switch.families import recipe_qkneser
-    from spectral_switch.schemes import build
+    """No vertex of K_2(n,2) has a selective pair (it is vertex-transitive,
+    so vertex 0 stands for all), and some vertex of its mate does."""
     from spectral_switch.switching import apply_switching
 
     r = recipe_qkneser(n, 2)
     g = build(r.params)
     mate = apply_switching(g, r.spec)
-    assert scan_triple_property(g) is scan_triple_property_reference(g) is False
-    assert scan_triple_property(mate) is scan_triple_property_reference(mate) is True
+    assert _selective_pair(dense_adjacency(g, np.float32), 0) is None
+    assert selective_pair_reference(g, 0) is None
+    assert scan_triple_property_reference(g) is False
+    pairs = _selective_pairs(mate)
+    assert pairs == [selective_pair_reference(mate, v) for v in range(mate.n)]
+    assert any(p is not None for p in pairs)
+    assert scan_triple_property_reference(mate) is True
 
 
 def test_scan_matches_brute_rotations():
-    # the scan must consider all rotations of each unordered triple
-    from itertools import combinations
-
+    # the triple (v, b, c) is scanned at each of its vertices: the scan at v
+    # finds a pair exactly when some pairwise non-adjacent b, c gives
+    # lambda(v; b, c) = 1, counted here vertex by vertex
     for seed in range(6):
         g = random_graph(8, 0.55, seed)
-        brute = any(
-            selective_count_brute(g, x, y, z) == 1
-            for a, b, c in combinations(range(8), 3)
-            if not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c))
-            for x, y, z in [(a, b, c), (b, a, c), (c, a, b)]
-        )
-        assert scan_triple_property(g) == brute
+        for v, pair in enumerate(_selective_pairs(g)):
+            free = [u for u in range(8) if u != v and not g.has_edge(u, v)]
+            brute = any(selective_count_brute(g, v, b, c) == 1
+                        for b, c in combinations(free, 2) if not g.has_edge(b, c))
+            assert (pair is not None) == brute, (seed, v)
 
 
 def test_ladder_levels_constant():
@@ -485,6 +492,7 @@ def test_transitive_witness_names_the_mate_vertex(corpus_reports):
 def test_selective_rung_only_up_to_the_scan_limit(corpus_reports, monkeypatch):
     rep = corpus_reports["qkneser(n=4,k=2)"]
     vertices = rep.recipe.spec.all_vertices() + (24,)
+    monkeypatch.setattr(certify, "_SCAN_MAX_N", rep.graph.n)  # the limit is inclusive
     assert transitive_nonisomorphic(rep.graph, rep.mate, vertices).level == (
         "transitive-selective")
     monkeypatch.setattr(certify, "_SCAN_MAX_N", rep.graph.n - 1)

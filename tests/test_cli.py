@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 from spectral_switch import cli
-from spectral_switch.families import recipe_j2n4
+from spectral_switch.families import recipe_j2n4, run_recipe
 from spectral_switch.graphcore import decode_graph6, encode_graph6, Graph
 from spectral_switch.schemes import SchemeParams, build
 from spectral_switch.switching import apply_switching, spec_to_json_dict
@@ -170,6 +170,8 @@ def test_switch_malformed_spec_file(tmp_path, capsys):
     ('{"gm": {"cells": [[null, 2]]}}', "spec vertex None is not an integer"),
     ('{"gm": {"cells": [[0.9, 1.2], [2, 3]]}}', "spec vertex 0.9 is not an integer"),
     ('{"gm": {"cells": [[true, 2]]}}', "spec vertex True is not an integer"),
+    ('{"gm": {"cells": [[0, 1]], "x": 1}}', "gm spec has unknown keys 'x'"),
+    ('{"wqh": {"c1": [0], "c2": [1], "c3": [2]}}', "wqh spec has unknown keys 'c3'"),
 ])
 def test_malformed_spec_body_is_invalid(tmp_path, capsys, body, message):
     """A spec file of the wrong shape exits 2 with a message, neither with a
@@ -248,6 +250,25 @@ def test_verify_passing(tmp_path, capsys):
     assert json.loads(report_path.read_text()) == doc
 
 
+def test_the_switch_runs_once(tmp_path, capsys, monkeypatch):
+    """recipe and verify take the cospectral verdict from the switch that
+    built the mate, so each forms Q^T A Q exactly once."""
+    from spectral_switch import switching
+
+    calls = []
+    real = switching._conjugate
+    monkeypatch.setattr(switching, "_conjugate",
+                        lambda g, spec: calls.append(spec) or real(g, spec))
+    r = recipe_j2n4(8)
+    assert run_recipe(r).cospectral_verdict.method == "switching"
+    assert calls == [r.spec]
+    calls.clear()
+    code, out, _ = run(capsys, "verify", "--graph", r.params.format(),
+                       "--spec", write_spec(tmp_path, r.spec))
+    assert code == 0 and json.loads(out)["cospectral"]["method"] == "switching"
+    assert calls == [r.spec]
+
+
 def test_verify_proves_a_scheme_graph_at_its_cells_and_a_file_by_the_ladder(
         tmp_path, capsys):
     """A scheme string's graph is vertex-transitive, so verify compares
@@ -306,19 +327,11 @@ def test_recipe_command(tmp_path, capsys):
 
 
 def test_recipe_stage_failures_exit_by_cause(capsys, monkeypatch):
-    from spectral_switch import families, spectra
+    from spectral_switch import families
 
     code, _, err = run(capsys, "recipe", "j2n4", "--n", "8", "--cap", "10")
     assert code == cli.EXIT_CAP
     assert err.startswith("error: stage build: ")
-    # a pair the certificate does not prove falls back to charpolys, and
-    # then the charpoly size limit applies
-    monkeypatch.setattr(spectra, "switching_certificate", lambda *a: False)
-    monkeypatch.setattr(spectra, "MAX_CHARPOLY_N", 5)
-    code, _, err = run(capsys, "recipe", "j2n4", "--n", "8")
-    assert code == cli.EXIT_CHARPOLY_SIZE
-    assert err.startswith("error: charpoly size limit: stage cospectral: ")
-    monkeypatch.undo()
 
     # a stage failing with an exception outside the table exits 2
     def broken(*args):

@@ -404,14 +404,13 @@ def test_minimal_polynomial_keeps_charpoly_size_limit(monkeypatch, petersen):
 
 
 def test_primes_are_drawn_only_for_the_charpoly(monkeypatch, petersen):
-    """The switching certificate and the minimal polynomial use no primes,
-    so cospectral draws none for them; the charpoly draws its seed's."""
+    """The minimal polynomial uses no primes, so cospectral draws none for
+    it; the charpoly draws its seed's."""
     drawn = []
     real = spectra.random_primes
     monkeypatch.setattr(spectra, "random_primes",
                         lambda count, seed: drawn.append((count, seed)) or real(count, seed))
     g, mate = _gm_mate_pair(random.Random(5), 12)
-    assert cospectral(g, mate, spec=GmSpec([[0, 1, 2, 3]])).method == "switching"
     assert cospectral(petersen, _shuffled(petersen, 2)).method == "minimal-polynomial"
     assert drawn == []
     v = cospectral(g, mate, num_primes=2, seed=7)

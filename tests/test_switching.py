@@ -20,7 +20,6 @@ from spectral_switch.switching import (
     apply_switching,
     spec_from_json_dict,
     spec_to_json_dict,
-    switching_certificate,
     validate,
 )
 
@@ -108,7 +107,7 @@ def test_gm_switch_flips_each_cell_apart():
     mate = apply_switching(g, spec)
     assert sorted(mate.neighbors(4)) == [1, 2, 3]
     assert mate == apply_switching_reference(g, spec)
-    assert switching_certificate(g, mate, spec)
+    assert switching_certificate_reference(g, mate, spec)
 
 
 def test_wqh_switch_hand_example():
@@ -182,7 +181,6 @@ def test_planted_gm_cells_randomized():
         assert mate == apply_switching_reference(g, spec)
         assert apply_switching(mate, spec) == g
         assert charpoly_mod_p(g, p) == charpoly_mod_p(mate, p)
-        assert switching_certificate(g, mate, spec)
         assert switching_certificate_reference(g, mate, spec)
         # flip one cell edge of an outside vertex with count 2: now 1 or 3
         v = next(u for u in range(4, g.n)
@@ -193,7 +191,6 @@ def test_planted_gm_cells_randomized():
         broken = Graph(g.n, rows)
         assert not validate(broken, spec).valid
         for h in (g, broken):
-            assert not switching_certificate(h, broken, spec)
             assert not switching_certificate_reference(h, broken, spec)
 
 
@@ -209,22 +206,21 @@ def recipe_pairs(corpus_reports):
     return pairs
 
 
-def test_recipe_pairs_proved_by_switching_certificate(corpus_reports, recipe_pairs):
-    verdicts = {name: rep.cospectral_verdict for name, rep in corpus_reports.items()}
-    for name, (g, mate, spec) in recipe_pairs.items():
-        if name not in verdicts:
-            verdicts[name] = cospectral(g, mate, spec=spec)
-    assert len(verdicts) == 11
-    for name, v in verdicts.items():
+def test_recipe_pairs_proved_by_switching_certificate(corpus_reports):
+    """Every corpus report records the switch's own verdict, an exact proof;
+    the next test confirms Q^T A Q = A' with the dense reference certificate
+    for the mate apply_switching returns on every recipe pair."""
+    for name, rep in corpus_reports.items():
+        v = rep.cospectral_verdict
         assert v.equal and v.method == "switching", name
         assert v.error_bound == 0 and v.primes_used == (), name
 
 
 def test_certificate_matches_reference_on_toggled_mates(recipe_pairs):
-    """On every recipe pair, and on seeded single-edge toggles of its mate
-    inside the cells, between a cell and the outside, and outside."""
+    """The reference certificate accepts every recipe pair's mate and
+    refuses seeded single-edge toggles of it inside the cells, between a
+    cell and the outside, and outside."""
     for name, (g, mate, spec) in recipe_pairs.items():
-        assert switching_certificate(g, mate, spec), name
         assert switching_certificate_reference(g, mate, spec), name
         rng = random.Random(name)
         cells = spec.all_vertices()
@@ -238,13 +234,12 @@ def test_certificate_matches_reference_on_toggled_mates(recipe_pairs):
                 rows[u] ^= 1 << v
                 rows[v] ^= 1 << u
                 bad = Graph(g.n, rows, validate=False)  # still symmetric
-                assert not switching_certificate(g, bad, spec), (name, u, v)
                 assert not switching_certificate_reference(g, bad, spec), (name, u, v)
 
 
 def test_switching_blocks_are_scaled_orthogonal():
     """P^T P = L^2 I for GM cells of every even size up to 64 and WQH pairs
-    of every size up to 32, so the certificate need not check it; P is
+    of every size up to 32, so the switch need not check it; P is
     block-diagonal over the cells, with one scale per block."""
     specs = [GmSpec([range(m)]) for m in range(2, 65, 2)]
     specs += [WqhSpec(range(m), range(m, 2 * m)) for m in range(1, 33)]
@@ -376,8 +371,7 @@ def test_cell_check_refuses_a_0_1_conjugate():
 ])
 def test_out_of_range_spec_names_the_least_vertex(spec, least):
     g = Graph.from_edges(6, [(0, 1), (2, 3)])
-    for call in (validate, validate_reference, apply_switching, _conjugate,
-                 lambda g, spec: switching_certificate(g, g, spec)):
+    for call in (validate, validate_reference, apply_switching, _conjugate):
         with pytest.raises(InvalidSpecError, match=f"^spec vertex {least} out of range for n=6$"):
             call(g, spec)
 
@@ -436,7 +430,6 @@ def test_certificate_refuses_a_conjugate_that_is_not_0_1():
     assert not validate(g, spec).valid
     assert _conjugate(g, spec) is None
     for mate in (g, Graph.from_edges(5, [(1, 4), (2, 4), (3, 4), (0, 1), (2, 3)])):
-        assert not switching_certificate(g, mate, spec)
         assert not switching_certificate_reference(g, mate, spec)
 
 
@@ -454,9 +447,9 @@ def test_toggled_mate_edge_fails_certificate(corpus_reports, name, where):
     rows[u] ^= 1 << v
     rows[v] ^= 1 << u
     bad = Graph(g.n, rows)
-    assert switching_certificate(g, rep.mate, spec)
-    assert not switching_certificate(g, bad, spec)
-    cv = cospectral(g, bad, spec=spec)
+    assert switching_certificate_reference(g, rep.mate, spec)
+    assert not switching_certificate_reference(g, bad, spec)
+    cv = cospectral(g, bad)
     assert cv.method == "minimal-polynomial" and cv.equal is False
 
 
@@ -472,7 +465,7 @@ def test_certificate_exact_with_coprime_cell_sizes(complete):
     full = (1 << n) - 1
     g = Graph(n, [full ^ (1 << v) if complete else 0 for v in range(n)])
     mate = apply_switching(g, spec)
-    assert switching_certificate(g, mate, spec)
+    assert switching_certificate_reference(g, mate, spec)
 
 
 @pytest.fixture(scope="module")
@@ -483,23 +476,18 @@ def halfrange7():
     return g, apply_switching(g, r.spec), r.spec
 
 
-def test_certificate_reads_only_the_cell_rows(halfrange7):
-    """One certificate call on halfrange(7) (n = 3432, 16 cell vertices)
-    peaks below 2.5 MiB: it packs the cell rows, not all n rows of each
-    graph (n * ceil(n/8) bytes, 1.4 MiB per graph)."""
+def test_switch_packs_only_the_cell_rows(halfrange7):
+    """One switch of halfrange(7) (n = 3432, 16 cell vertices) peaks below
+    2.5 MiB: it packs the cell rows, not all n rows of the graph
+    (n * ceil(n/8) bytes, 1.4 MiB)."""
     g, mate, spec = halfrange7
     tracemalloc.start()
     try:
-        assert switching_certificate(g, mate, spec)
+        assert apply_switching(g, spec) == mate
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * 2**20
-
-
-def test_certificate_range_checks_spec(petersen):
-    with pytest.raises(InvalidSpecError, match="out of range"):
-        switching_certificate(petersen, petersen, GmSpec([[0, 10]]))
 
 
 def test_spec_json_round_trip():
@@ -535,10 +523,13 @@ def test_spec_json_label_resolution():
     ({"gm": {"cells": [[0.9, 1.2], [2, 3]]}}, "spec vertex 0.9 is not an integer"),
     ({"gm": {"cells": [[True, 2]]}}, "spec vertex True is not an integer"),
     ({"wqh": {"c1": [0, 1, 2.0], "c2": [3, 4, 5]}}, "spec vertex 2.0 is not an integer"),
+    ({"gm": {"cells": [[0, 1]], "x": 1}}, "gm spec has unknown keys 'x'; it takes only 'cells'"),
+    ({"wqh": {"c1": [0], "c2": [1], "c3": [2]}},
+     "wqh spec has unknown keys 'c3'; it takes only 'c1', 'c2'"),
 ])
 def test_spec_json_malformed_body(obj, message):
-    """A spec body of the wrong shape, or a cell entry that is neither an
-    integer nor a label, is a ValueError naming it, not a TypeError or a
-    truncated index."""
+    """A spec body of the wrong shape or with keys beyond its cell lists, or
+    a cell entry that is neither an integer nor a label, is a ValueError
+    naming it, not a TypeError, a truncated index or a dropped key."""
     with pytest.raises(ValueError, match=f"^{message}$"):
         spec_from_json_dict(obj)
