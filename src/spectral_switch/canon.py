@@ -27,7 +27,12 @@ To prove two graphs isomorphic, label one and search the other for a leaf
 with the same certificate (match_certificate), with the same pruning; it
 stops at the first such leaf.  This is the isomorphism-test mode of
 McKay and Piperno, "Practical graph isomorphism, II" (J. Symbolic Comput.
-60, 2014).
+60, 2014).  It needs the first graph's canonical leaf only so that the
+second search can prune by trace order: two leaves with one certificate
+prove the graphs isomorphic whichever leaves they are.  So a pair is first
+probed at the two first leaves, the ends of the path each search visits
+first (_first_leaves); only a pair whose first leaves differ is labeled
+and matched.
 
 All three searches run on the twin quotient.  Open twins share their
 neighborhood, closed twins their neighborhood plus themselves; refinement
@@ -158,6 +163,16 @@ def _individualize_refine(adj, order, bnd, target_idx, s, e, v):
     return new_order, new_bnd, (target_idx,) + trace
 
 
+def _target_cell(starts, n):
+    """(index, start, end) of the first smallest non-singleton cell of a
+    partition of n vertices whose cells start at `starts`: the cell every
+    node of the search tree individualizes."""
+    sizes = np.append(starts, n)[1:] - starts
+    target = int(np.where(sizes > 1, sizes, n + 1).argmin())
+    s = int(starts[target])
+    return target, s, s + int(sizes[target])
+
+
 def _leaf_cert(adj, perm, upper) -> bytes:
     """Upper-triangle bits of the relabeled adjacency, row-major, packed.
 
@@ -235,16 +250,10 @@ class _Search:
 
     def dfs(self, order, bnd, depth) -> bool:
         """Search below one node; True once a leaf matched the target."""
-        n = self.n
         starts = bnd.nonzero()[0]
-        if len(starts) == n:
+        if len(starts) == self.n:
             return self._leaf(order)
-        # the first smallest non-singleton cell
-        bounds = np.append(starts, n)
-        sizes = bounds[1:] - starts
-        target = int(np.where(sizes > 1, sizes, n + 1).argmin())
-        s = int(starts[target])
-        e = s + int(sizes[target])
+        target, s, e = _target_cell(starts, self.n)
         explored: list[int] = []
         seen_gens = -1
         for v in order[s:e].tolist():
@@ -429,6 +438,48 @@ def match_certificate(g: Graph, cert: bytes, budget: int = DEFAULT_NODE_BUDGET,
     if not search.dfs(order, bnd, 0):
         return None
     return _lift_order(levels, search.best[1].tolist())
+
+
+def _first_leaf(adj, order, bnd, budget: int):
+    """The position order of the first leaf below (order, bnd): the path
+    _Search.dfs visits first, individualizing the first vertex of the
+    target cell at every level.  Raises BudgetExhaustedError past budget
+    individualizations, as the search does."""
+    n = len(order)
+    nodes = 0
+    while len(starts := bnd.nonzero()[0]) < n:
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExhaustedError(budget)
+        target, s, e = _target_cell(starts, n)
+        order, bnd, _ = _individualize_refine(adj, order, bnd, target, s, e,
+                                              int(order[s]))
+    return order
+
+
+def _first_leaves(g1: Graph, g2: Graph, budget: int, colors1: Sequence[int],
+                  colors2: Sequence[int]):
+    """Permutations of g1 and g2 in position order, one per graph, read off
+    the first leaves of their search trees, or None when the two first-leaf
+    certificates differ; the caller then labels g1 and matches g2.
+
+    A first-leaf certificate has canonical_labeling's format, the header
+    followed by the leaf's bytes.  Equal headers put equal colors at equal
+    positions, and equal leaf bytes then make the position map an
+    isomorphism of the twin quotients, which lifts class by class; so, as
+    with match_certificate, position by position the permutations map g1
+    onto g2.  Each descent raises BudgetExhaustedError past the node budget.
+    """
+    adj1, order1, bnd1, header1, levels1 = _prepare(g1, colors1)
+    adj2, order2, bnd2, header2, levels2 = _prepare(g2, colors2)
+    if header1 != header2:
+        return None
+    leaf1 = _first_leaf(adj1, order1, bnd1, budget)
+    leaf2 = _first_leaf(adj2, order2, bnd2, budget)
+    upper = np.arange(len(adj1))[:, None] < np.arange(len(adj1))
+    if _leaf_cert(adj1, leaf1, upper) != _leaf_cert(adj2, leaf2, upper):
+        return None
+    return _lift_order(levels1, leaf1.tolist()), _lift_order(levels2, leaf2.tolist())
 
 
 def automorphism_generators(g: Graph, budget: int = DEFAULT_NODE_BUDGET,

@@ -4,10 +4,13 @@ check for a graph known to be vertex-transitive.
 Cheapest first: sorted degree sequence, common-neighbor count multiset over
 edges, the same over non-edges, the stable 1-WL partition (canon's root
 refinement trace and quotient matrix, equal exactly when color refinement
-cannot tell the graphs apart), and finally individualization-refinement
-canonical forms.  The verdict names the level that distinguished, or
-carries an explicit isomorphism when canonical forms match, or reports
-unknown when the canonical search exhausts its budget.
+cannot tell the graphs apart), and finally individualization-refinement.
+That last rung first compares the two graphs' first search leaves, which
+prove an isomorphic pair when their certificates agree; only when they
+differ is graph 1 canonically labeled and graph 2 searched for its
+certificate.  The verdict names the level that distinguished, or carries
+an explicit isomorphism when first leaves or canonical forms match, or
+reports unknown when a descent or search exhausts its budget.
 
 transitive_nonisomorphic compares vertex invariants instead, at a few
 listed vertices.  Every SchemeParams graph is vertex-transitive (S_n acts
@@ -36,6 +39,7 @@ import numpy as np
 from .canon import (
     BudgetExhaustedError,
     DEFAULT_NODE_BUDGET,
+    _first_leaves,
     canonical_labeling,
     match_certificate,
     wl1_histogram,
@@ -256,11 +260,16 @@ def nonisomorphic(g1: Graph, g2: Graph,
     try:
         colors1 = vertex_lambda_colors(g1)
         colors2 = vertex_lambda_colors(g2)
-        cert1, perm1 = canonical_labeling(g1, budget, colors1)
-        # search g2 only for a leaf with g1's certificate
-        perm2 = match_certificate(g2, cert1, budget, colors2)
+        witness = "first leaves agree"
+        perms = _first_leaves(g1, g2, budget, colors1, colors2)
+        if perms is None:
+            witness = "canonical certificates agree"
+            cert1, perm1 = canonical_labeling(g1, budget, colors1)
+            # search g2 only for a leaf with g1's certificate
+            perms = perm1, match_certificate(g2, cert1, budget, colors2)
     except BudgetExhaustedError:
         return NonIsoVerdict(False, "canonical-form", None, node_budget_exhausted=True)
+    perm1, perm2 = perms
     if perm2 is None:
         return NonIsoVerdict(True, "canonical-form",
                              "canonical certificates differ")
@@ -268,8 +277,7 @@ def nonisomorphic(g1: Graph, g2: Graph,
     iso = [0] * g1.n
     for pos in range(g1.n):
         iso[perm1[pos]] = perm2[pos]
-    return NonIsoVerdict(False, "canonical-form", "canonical certificates agree",
-                         isomorphism=tuple(iso))
+    return NonIsoVerdict(False, "canonical-form", witness, isomorphism=tuple(iso))
 
 
 def _lambda_rows(g: Graph, vertices: list[int]) -> np.ndarray:

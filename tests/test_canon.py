@@ -511,3 +511,19 @@ def test_backjumping_search_matches_the_reference(name, colored):
     match = match_certificate(h, cert, colors=hcolors)
     assert match is not None
     assert match == canon_reference(h, hcolors, target=cert)[1]
+
+
+def test_first_leaf_ends_the_first_path_of_the_search():
+    """The descent that probes isomorphic pairs reaches the search's first
+    leaf, and counts its nodes against the budget as the search does."""
+    for name, make in REFERENCE_GRAPHS.items():
+        g = make()
+        adj, order, bnd, _, _ = canon._prepare(g, None)
+        search = canon._Search(adj, canon.DEFAULT_NODE_BUDGET)
+        search.dfs(order, bnd, 0)
+        _, first, path = search.first
+        leaf = canon._first_leaf(adj, order, bnd, len(path))
+        assert leaf.tolist() == first.tolist(), name
+        if path:
+            with pytest.raises(BudgetExhaustedError):
+                canon._first_leaf(adj, order, bnd, len(path) - 1)

@@ -29,6 +29,8 @@ from spectral_switch.families import (
 from spectral_switch.graphcore import Graph, dense_adjacency
 from spectral_switch.schemes import SchemeParams, build
 
+from test_canon import REFERENCE_GRAPHS
+
 from oracles import (
     scan_triple_property_reference,
     selective_count_brute,
@@ -240,28 +242,93 @@ def test_wl1_witness_names_a_trace_step():
                  "(0, ((1, 2), (2, 2))) vs (0, ((1, 3), (3, 1)))")
 
 
-def test_ladder_canonical_level(corpus_reports):
-    # the q=2 Kneser pair agrees on every cheaper invariant
-    rep = corpus_reports["qkneser(n=4,k=2)"]
-    v = nonisomorphic(rep.graph, rep.mate)
+@pytest.fixture
+def labelings(monkeypatch):
+    """The graphs passed to certify.canonical_labeling, one entry per call."""
+    calls = []
+    real = certify.canonical_labeling
+
+    def counted(g, *args):
+        calls.append(g)
+        return real(g, *args)
+
+    monkeypatch.setattr(certify, "canonical_labeling", counted)
+    return calls
+
+
+def _relabeled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return g.relabel(perm)
+
+
+def _shrikhande():
+    """Cayley graph of Z_4 x Z_4 on the steps +-(1, 0), +-(0, 1), +-(1, 1)."""
+    steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    return Graph.from_edges(16, [(a, b) for a, b in combinations(range(16), 2)
+                                 if ((b // 4 - a // 4) % 4, (b - a) % 4) in steps])
+
+
+def _rook(m):
+    """The m x m rook's graph: cells adjacent in one row or one column."""
+    return Graph.from_edges(m * m, [(a, b) for a, b in combinations(range(m * m), 2)
+                                    if a // m == b // m or a % m == b % m])
+
+
+# pairs that agree on every cheaper invariant: the q=2 Kneser pair, and the
+# Shrikhande and 4 x 4 rook's graphs, both SRG(16, 6, 2, 2)
+CANONICAL_LEVEL_PAIRS = {
+    "qkneser(n=4,k=2)": lambda reports: (reports["qkneser(n=4,k=2)"].graph,
+                                         reports["qkneser(n=4,k=2)"].mate),
+    "shrikhande-rook4": lambda reports: (_shrikhande(), _rook(4)),
+}
+
+
+@pytest.mark.parametrize("pair", CANONICAL_LEVEL_PAIRS)
+def test_ladder_canonical_level(corpus_reports, labelings, pair):
+    """Distinguished after the first leaves differ: graph 1 is labeled once
+    and graph 2 searched in full for its certificate.  Searching graph 2 for
+    graph 1's first leaf instead would make no labeling call."""
+    g1, g2 = CANONICAL_LEVEL_PAIRS[pair](corpus_reports)
+    v = nonisomorphic(g1, g2)
     assert v.distinguished and v.level == "canonical-form"
     assert v.witness == "canonical certificates differ"
+    assert labelings == [g1]
 
 
-def test_isomorphic_pair_yields_mapping(petersen):
-    rng = random.Random(5)
-    perm = list(range(petersen.n))
-    rng.shuffle(perm)
-    g2 = petersen.relabel(perm)
-    v = nonisomorphic(petersen, g2)
-    assert not v.distinguished
-    assert v.level == "canonical-form"
-    assert not v.node_budget_exhausted
-    iso = v.isomorphism
-    assert sorted(iso) == list(range(petersen.n))
-    for a in range(petersen.n):
-        for b in range(a + 1, petersen.n):
-            assert petersen.has_edge(a, b) == g2.has_edge(iso[a], iso[b])
+COMPARE_MATES = ("j2n4(n=8)", "halfrange(k=5)", "sporadic(J1-11-4)",
+                 "sporadic(J24-10-5)")
+
+# The inputs whose relabelings have first leaves unlike the original's, so
+# that graph 1 is labeled and graph 2 matched; every other input is proved
+# by the two first leaves.  Both paths must stay covered.
+FALLBACK_INPUTS = ("latin5", "latin6")
+
+
+@pytest.mark.parametrize("name", ["petersen", *REFERENCE_GRAPHS, *COMPARE_MATES])
+def test_isomorphic_pair_yields_mapping(name, request, corpus_reports, labelings):
+    """Also a cost guard: the compare mates are proved with no canonical
+    labeling, where labeling graph 1 first made one call per pair."""
+    if name in REFERENCE_GRAPHS:
+        g = REFERENCE_GRAPHS[name]()
+    elif name in COMPARE_MATES:
+        g = corpus_reports[name].mate
+    else:
+        g = request.getfixturevalue(name)
+    for seed in (0, 1, 2):
+        labelings.clear()
+        g2 = _relabeled(g, seed)
+        v = nonisomorphic(g, g2)
+        assert not v.distinguished
+        assert v.level == "canonical-form"
+        assert not v.node_budget_exhausted
+        assert g.relabel(v.isomorphism).rows == g2.rows
+        if name in FALLBACK_INPUTS:
+            assert v.witness == "canonical certificates agree"
+            assert labelings == [g]
+        else:
+            assert v.witness == "first leaves agree"
+            assert labelings == []
 
 
 def test_budget_exhaustion_is_unknown(petersen):
@@ -339,23 +406,15 @@ def test_canonical_forms_golden(corpus_reports, k242, j284):
     assert j284.rows == corpus_reports["j2n4(n=8)"].graph.rows
 
 
-def test_isomorphic_pair_labels_graph_one_only(corpus_reports, monkeypatch):
-    """Graph 2 is searched for graph 1's certificate, not labeled itself."""
-    calls = []
-    real = certify.canonical_labeling
-
-    def counted(g, *args):
-        calls.append(g)
-        return real(g, *args)
-
-    monkeypatch.setattr(certify, "canonical_labeling", counted)
+def test_isomorphic_pair_labels_graph_one_only(corpus_reports, labelings):
+    """Graph 2 is searched for graph 1's certificate, not labeled itself.
+    This relabeling's first leaf differs from the mate's."""
     mate = corpus_reports["qkneser(n=4,k=2)"].mate
-    perm = list(range(mate.n))
-    random.Random(3).shuffle(perm)
-    v = nonisomorphic(mate, mate.relabel(perm))
+    other = _relabeled(mate, 3)
+    v = nonisomorphic(mate, other)
     assert not v.distinguished and v.level == "canonical-form"
-    assert mate.relabel(v.isomorphism).rows == mate.relabel(perm).rows
-    assert calls == [mate]
+    assert mate.relabel(v.isomorphism).rows == other.rows
+    assert labelings == [mate]
 
 
 def test_budget_exhaustion_in_graph_two(corpus_reports):
@@ -390,7 +449,8 @@ def test_twins_call_canon_through_module_attributes_as_before(corpus_reports,
     """Reducing by twins inside canon calls no public canon function through
     its module attribute: canon.canonical_form still makes one
     canon.canonical_labeling call, and nonisomorphic goes through
-    certify's own names only."""
+    certify's own names only; its first leaves prove this pair, so it
+    makes no call at all."""
     calls = []
     for module, name in ((canon, "canonical_labeling"),
                          (canon, "automorphism_generators"),
@@ -409,7 +469,7 @@ def test_twins_call_canon_through_module_attributes_as_before(corpus_reports,
     random.Random(5).shuffle(perm)
     v = nonisomorphic(mate, mate.relabel(perm))
     assert v.isomorphism is not None
-    assert calls == ["certify.canonical_labeling"]
+    assert calls == []
 
 
 # -- transitive_nonisomorphic ------------------------------------------------
