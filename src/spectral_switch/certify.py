@@ -2,9 +2,11 @@
 check for a graph known to be vertex-transitive.
 
 Cheapest first: sorted degree sequence, common-neighbor count multiset over
-edges, the same over non-edges, the stable 1-WL partition (canon's root
-refinement trace and quotient matrix, equal exactly when color refinement
-cannot tell the graphs apart), and finally individualization-refinement.
+edges, the same over non-edges (both from one float32 pass over A A per
+graph, _lambda_pass, which also gives the vertex colors that seed the last
+rung), the stable 1-WL partition (canon's root refinement trace and
+quotient matrix, equal exactly when color refinement cannot tell the graphs
+apart), and finally individualization-refinement.
 That last rung first compares the two graphs' first search leaves, which
 prove an isomorphic pair when their certificates agree; only when they
 differ is graph 1 canonically labeled and graph 2 searched for its
@@ -19,8 +21,8 @@ sizes), so a vertex invariant of such a graph takes vertex 0's value at every
 vertex; one vertex of the other graph where the value differs proves the two
 non-isomorphic (Godsil and McKay, Aequationes Math. 25, 1982).  Its levels,
 "transitive-lambda" and "transitive-selective", are not ladder levels; the
-first takes lambda rows from graphcore._common_bits, the scheme build's
-kernel, and signatures from _lambda_signature, as vertex_lambda_colors does.
+first takes listed lambda rows from graphcore._common_bits, the scheme
+build's kernel, and signatures from _lambda_signature, as _lambda_pass does.
 
 Also provides the selective neighbor count lambda(a; b, c) = #{x ~ a, x !~ b,
 x !~ c}; the "transitive-selective" level scans each listed vertex a for a
@@ -30,6 +32,7 @@ product per vertex.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -75,28 +78,48 @@ _LAMBDA_ROWS = 256  # rows of A A formed at a time
 _BLOCK_WORDS = 1 << 20  # packed words per block of rows in _lambda_rows (8 MiB)
 
 
-def lambda_profile(g: Graph) -> LambdaProfile:
-    """Common-neighbor counts over edges and non-edges, from A A.
+def _lambda_pass(g: Graph) -> tuple[list[int], LambdaProfile]:
+    """Each vertex's lambda color (see vertex_lambda_colors) and g's
+    LambdaProfile, from one pass over A A.
 
     The product runs in float32, exact here: every entry is a count of at
-    most n < 2^24.  It is formed a block of rows at a time, each row from
-    its own column onward, so no n x n temporary appears.
+    most n < 2^24.  It is formed a block of rows at a time, so no n x n
+    temporary appears.  Each row becomes its vertex's sorted key row, and
+    one signature is built per distinct row.  Every unordered pair appears
+    once in each of its two vertices' rows, so the profile is half the
+    distinct rows' key counts, each weighted by how many vertices share it.
     """
     n = g.n
     a = dense_adjacency(g, np.float32)
-    counts = np.zeros(2 * n + 2, dtype=np.int64)
+    index: dict[bytes, int] = {}  # distinct key row -> its place in sigs
+    sigs, place = [], []  # each distinct row's signature; each vertex's row
     for r0 in range(0, n, _LAMBDA_ROWS):
         r1 = min(r0 + _LAMBDA_ROWS, n)
-        # the key rows of _lambda_signature, v itself left out
-        keys = (a[r0:r1] @ a[:, r0:] - (n + 1) * a[r0:r1, r0:]).astype(np.int32) + n + 1
-        counts += np.bincount(keys[np.arange(r0, n) > np.arange(r0, r1)[:, None]],
-                              minlength=2 * n + 2)
-    return LambdaProfile(_histogram(counts[:n + 1]), _histogram(counts[n + 1:]))
+        lam = (a[r0:r1] @ a - (n + 1) * a[r0:r1]).astype(np.int32) + n + 1
+        lam[np.arange(r1 - r0), np.arange(r0, r1)] = -1  # v itself sorts first
+        lam.sort(axis=1)
+        for row in lam:
+            i = index.setdefault(row.tobytes(), len(sigs))
+            if i == len(sigs):
+                sigs.append(_lambda_signature(row))
+            place.append(i)
+    counts = np.zeros(2 * n + 2, dtype=np.int64)
+    mult = Counter(place)
+    for i, key in enumerate(index):
+        counts += mult[i] * np.bincount(np.frombuffer(key, np.int32)[1:], minlength=2 * n + 2)
+    rank = {i: r for r, i in enumerate(sorted(range(len(sigs)), key=sigs.__getitem__))}
+    profile = LambdaProfile(*(_histogram(c // 2) for c in np.split(counts, [n + 1])))
+    return [rank[i] for i in place], profile
 
 
 def _histogram(counts: np.ndarray) -> tuple[tuple[int, int], ...]:
     ks = np.flatnonzero(counts)
     return tuple(zip(ks.tolist(), counts[ks].tolist()))
+
+
+def lambda_profile(g: Graph) -> LambdaProfile:
+    """Common-neighbor counts over edges and non-edges (_lambda_pass)."""
+    return _lambda_pass(g)[1]
 
 
 def vertex_lambda_colors(g: Graph) -> list[int]:
@@ -105,34 +128,17 @@ def vertex_lambda_colors(g: Graph) -> list[int]:
     Used to seed canonical labeling and give it a head start on graphs whose
     vertices differ in second-order structure; any label-invariant coloring
     is sound here.  Colors are the ranks of the sorted (degree, edge lambda
-    histogram, non-edge lambda histogram) signatures.  Blocks of rows of A A
-    give each vertex its sorted key row (_lambda_signature); equal rows mean
-    equal signatures, so one signature is built per distinct row.
+    histogram, non-edge lambda histogram) signatures of _lambda_pass.
     """
-    n = g.n
-    a = dense_adjacency(g, np.float32)
-    sig: dict[bytes, tuple] = {}  # distinct key row -> its signature
-    keys = []
-    for r0 in range(0, n, _LAMBDA_ROWS):
-        r1 = min(r0 + _LAMBDA_ROWS, n)
-        # the key rows of _lambda_signature, exact as in lambda_profile
-        lam = (a[r0:r1] @ a - (n + 1) * a[r0:r1]).astype(np.int32) + n + 1
-        lam[np.arange(r1 - r0), np.arange(r0, r1)] = -1  # v itself sorts first
-        lam.sort(axis=1)
-        for row in lam:
-            key = row.tobytes()
-            if key not in sig:
-                sig[key] = _lambda_signature(row)
-            keys.append(key)
-    rank = {s: i for i, s in enumerate(sorted(sig.values()))}
-    return [rank[sig[k]] for k in keys]
+    return _lambda_pass(g)[0]
 
 
 def canonical_form(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> bytes:
     """Canonical byte string; equal iff graphs are isomorphic.
 
-    Seeds the search with the vertex lambda coloring, which is part of the
-    documented canonical form (certificates embed the coloring signature).
+    The form is the graph6 of g relabeled by a search seeded with the vertex
+    lambda coloring; it embeds no coloring, and it is canonical because that
+    coloring is isomorphism-invariant.
     """
     # imported per call, so perfbench's wrapper on canon.canonical_form sees it
     from .canon import canonical_form as base_form
@@ -245,7 +251,7 @@ def nonisomorphic(g1: Graph, g2: Graph,
         return NonIsoVerdict(True, "degree-seq",
                              f"sorted degree sequences differ at position {i}: "
                              f"{d1[i]} vs {d2[i]}")
-    p1, p2 = lambda_profile(g1), lambda_profile(g2)
+    (colors1, p1), (colors2, p2) = _lambda_pass(g1), _lambda_pass(g2)
     if p1.edge != p2.edge:
         return NonIsoVerdict(True, "edge-lambda",
                              _counter_witness(p1.edge, p2.edge,
@@ -258,8 +264,6 @@ def nonisomorphic(g1: Graph, g2: Graph,
     if w1 != w2:
         return NonIsoVerdict(True, "wl1-histogram", _wl1_witness(w1, w2))
     try:
-        colors1 = vertex_lambda_colors(g1)
-        colors2 = vertex_lambda_colors(g2)
         witness = "first leaves agree"
         perms = _first_leaves(g1, g2, budget, colors1, colors2)
         if perms is None:

@@ -198,8 +198,6 @@ def cmd_verify(args) -> int:
     out = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "kind": "verify",
-        "seed": args.seed,
-        "num_primes": args.primes,
         "validation": report.to_json_dict(),
     }
     if not report.valid:
@@ -338,8 +336,6 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", required=True)
     p.add_argument("--spec", required=True)
     p.add_argument("--report", help="write the JSON report here as well")
-    p.add_argument("--primes", type=_at_least_one("prime"), default=3)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=_at_least_one("node"), default=DEFAULT_NODE_BUDGET,
                    help="canonical labeling node budget")
     _add_common(p)

@@ -58,7 +58,7 @@ __all__ = [
     "cospectral",
 ]
 
-REPORT_SCHEMA_VERSION = 4
+REPORT_SCHEMA_VERSION = 5
 
 
 class RecipeStageError(RuntimeError):

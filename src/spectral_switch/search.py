@@ -15,7 +15,6 @@ profiles agree.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass
 from itertools import combinations, compress
@@ -24,7 +23,7 @@ import numpy as np
 
 from .canon import BudgetExhaustedError, _twin_classes, automorphism_generators
 from .certify import canonical_form, lambda_profile, vertex_lambda_colors
-from .graphcore import Graph, dense_adjacency
+from .graphcore import Graph, _integer, dense_adjacency
 from .schemes import johnson_rank, mask_of_elements
 from .switching import GmSpec, WqhSpec, apply_switching, spec_to_json_dict
 
@@ -194,11 +193,11 @@ def search_gm4(g: Graph, cfg: SearchConfig) -> SearchResult:
 
 def _triples(candidates, n: int) -> list[tuple[int, ...]]:
     """The candidates as int tuples, in one pass; ValueError at the first
-    entry that is not three distinct integers in range(n)."""
+    entry that is not three distinct ints (no bools) in range(n)."""
     out = []
     for t in candidates:
         try:
-            triple = tuple(map(operator.index, t))
+            triple = tuple(map(_integer, t))
         except TypeError:
             triple = ()
         if len(triple) != 3 or len(set(triple)) != 3 or not all(0 <= v < n for v in triple):

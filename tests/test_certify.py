@@ -73,11 +73,13 @@ def test_lambda_profile_hand_checks():
     assert p.nonedge == ((1, 1),)
 
 
-def test_lambda_profile_matches_pairwise_count():
-    # more rows than one block of the row-chunked product
+@pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 300])
+def test_lambda_profile_matches_pairwise_count(n):
+    # sizes on both sides of one block of rows of the A A product
     from collections import Counter
 
-    g = random_graph(300, 0.3, 7)
+    assert certify._LAMBDA_ROWS == 256
+    g = random_graph(n, 0.3, 7)
     nbrs = [{x for x in range(g.n) if g.has_edge(u, x)} for u in range(g.n)]
     edge, nonedge = Counter(), Counter()
     for u in range(g.n):
@@ -86,7 +88,6 @@ def test_lambda_profile_matches_pairwise_count():
     p = lambda_profile(g)
     assert p.edge == tuple(sorted(edge.items()))
     assert p.nonedge == tuple(sorted(nonedge.items()))
-    assert lambda_profile(Graph.from_edges(0, [])) == lambda_profile(Graph.from_edges(1, []))
 
 
 def test_selective_count_matches_brute_force():
@@ -329,6 +330,24 @@ def test_isomorphic_pair_yields_mapping(name, request, corpus_reports, labelings
         else:
             assert v.witness == "first leaves agree"
             assert labelings == []
+
+
+def test_ladder_forms_a_a_once_per_graph(corpus_reports, monkeypatch):
+    """Cost guard: the lambda rungs and the colours that seed canon read one
+    float32 adjacency matrix per graph, where a profile pass and a colour
+    pass formed two."""
+    dtypes = []
+    real = certify.dense_adjacency
+
+    def counted(g, dtype=np.float64):
+        dtypes.append(dtype)
+        return real(g, dtype)
+
+    monkeypatch.setattr(certify, "dense_adjacency", counted)
+    mate = corpus_reports["j2n4(n=8)"].mate
+    v = nonisomorphic(mate, _relabeled(mate, 0))
+    assert v.level == "canonical-form" and v.isomorphism is not None
+    assert dtypes.count(np.float32) == 2
 
 
 def test_budget_exhaustion_is_unknown(petersen):

@@ -408,15 +408,29 @@ def test_search_nan_budget_is_usage_error(capsys):
 
 @pytest.mark.parametrize("value", ["0", "-2"])
 @pytest.mark.parametrize("command", [
-    ("verify", "--graph", "J{2}(8,4)", "--spec", "spec.json"),
     ("recipe", "j2n4", "--n", "8"),
     ("spectrum", "--graph", "J{2}(8,4)"),
-], ids=["verify", "recipe", "spectrum"])
+], ids=["recipe", "spectrum"])
 def test_nonpositive_primes_is_usage_error(capsys, command, value):
     code, out, err = run(capsys, *command, "--primes", value)
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert f"error: argument --primes: need at least one prime, got '{value}'" in err
+
+
+def test_verify_takes_no_primes_or_seed(tmp_path, capsys):
+    """verify draws no prime and seeds nothing: it takes neither flag and
+    reports neither field."""
+    spec_path = write_spec(tmp_path, recipe_j2n4(8).spec)
+    argv = ("verify", "--graph", "J{2}(8,4)", "--spec", spec_path)
+    for flag in ("--primes", "--seed"):
+        code, out, err = run(capsys, *argv, flag, "3")
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert f"unrecognized arguments: {flag} 3" in err
+    code, out, _ = run(capsys, *argv)
+    doc = json.loads(out)
+    assert code == 0 and doc["kind"] == "verify"
+    assert "num_primes" not in doc and "seed" not in doc
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
@@ -441,6 +455,7 @@ def test_nonpositive_cap_or_node_budget_is_usage_error(capsys, command, flag, no
 @pytest.mark.parametrize("content, message", [
     ("[1, 2, 3]", "candidate triple 1 invalid for n=70"),
     ('[["a", "b", "c"]]', "candidate triple ['a', 'b', 'c'] invalid for n=70"),
+    ("[[true, 2, 3], [4, 5, 6]]", "candidate triple [True, 2, 3] invalid for n=70"),
     ('{"c1": [1, 2, 3]}', "c.json: not a JSON list of candidate triples"),
 ])
 def test_search_malformed_candidates_file_is_invalid(tmp_path, capsys, content, message):
