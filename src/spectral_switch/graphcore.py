@@ -84,7 +84,7 @@ def _common_bits(block: np.ndarray, masks: np.ndarray, buf: np.ndarray) -> np.nd
 
 def dense_adjacency(g: "Graph", dtype=np.float64) -> np.ndarray:
     """The n x n 0/1 adjacency matrix of g, unpacked from its bit rows."""
-    return _unpacked_rows(g.rows, g.n).astype(dtype)
+    return _unpacked_rows(g.rows, g.n).astype(dtype, copy=False)
 
 
 def _bit_rows(bits: np.ndarray) -> list[int]:

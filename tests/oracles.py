@@ -309,6 +309,68 @@ def search_wqh33_reference(g, c1s, c2s, max_candidates=None):
     return specs, False
 
 
+def search_gm4_reference(g, max_candidates=None):
+    """(4-subsets that are single GM cells, partial) by checking one
+    4-subset at a time on the bit rows, in lexicographic order, the first
+    max_candidates subsets only.  The scan search_gm4 used before it moved
+    to arrays."""
+    rows = g.rows
+    cells = []
+    for examined, cell in enumerate(combinations(range(g.n), 4)):
+        if max_candidates is not None and examined >= max_candidates:
+            return cells, True
+        a, b, c, d = cell
+        cmask = (1 << a) | (1 << b) | (1 << c) | (1 << d)
+        k0 = (rows[a] & cmask).bit_count()
+        if ((rows[b] & cmask).bit_count() != k0
+                or (rows[c] & cmask).bit_count() != k0
+                or (rows[d] & cmask).bit_count() != k0):
+            continue
+        if (rows[a] ^ rows[b] ^ rows[c] ^ rows[d]) & ~cmask == 0:
+            cells.append(cell)
+    return cells, False
+
+
+def orbit_firsts_reference(g, keys, gens):
+    """For each spec key, whether it is the first of its component, keys
+    joined when equal up to twins and each class's first key joined to its
+    images under gens: tuples sorted per image and a union-find rooted at
+    the least index.  The version search._orbit_firsts used before it moved
+    to arrays, with the generators as an argument."""
+    if len(keys) < 2:
+        return [True] * len(keys)
+    rep = list(range(g.n))
+    for members, _ in canon._twin_classes(g, [0] * g.n) or ():
+        for v in members:
+            rep[v] = members[0]
+    gens = [[rep[w] for w in p] for p in gens]
+
+    def up_to_twins(key, perm) -> tuple:  # perm ends at twin representatives
+        return tuple(sorted(tuple(sorted(map(perm.__getitem__, cell))) for cell in key))
+
+    index: dict = {}
+    root = [index.setdefault(up_to_twins(key, rep), i) for i, key in enumerate(keys)]
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    left = len(index)
+    for i in index.values():
+        if left == 1:
+            break
+        for p in gens:
+            j = index.get(up_to_twins(keys[i], p))
+            if j is not None:
+                a, b = sorted((find(i), find(j)))
+                if a != b:
+                    root[b] = a
+                    left -= 1
+    return [find(i) == i for i in range(len(keys))]
+
+
 def encode_graph6_reference(g) -> bytes:
     """graph6 of g, one upper-triangle bit at a time in column order,
     packed big-endian into 6-bit groups."""

@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 
 from spectral_switch import canon, search
-from spectral_switch.certify import lambda_profile
+from spectral_switch.certify import lambda_profile, vertex_lambda_colors
 from spectral_switch.families import recipe_j2n4, recipe_sporadic
 from spectral_switch.graphcore import Graph
 from spectral_switch.schemes import SchemeParams, build
@@ -27,7 +27,7 @@ from spectral_switch.switching import (
     validate_gm,
 )
 
-from oracles import search_wqh33_reference
+from oracles import orbit_firsts_reference, search_gm4_reference, search_wqh33_reference
 
 
 def pair_key(spec):
@@ -43,6 +43,16 @@ def test_config_validation():
         SearchConfig(time_budget=0)
     with pytest.raises(ValueError, match="positive"):
         SearchConfig(time_budget=float("nan"))  # a NaN deadline never passes
+
+
+@pytest.mark.parametrize("mode", ["gm4", "wqh33"])
+@pytest.mark.parametrize("limit", [1000.5, True, 10.0])
+def test_config_max_candidates_must_be_an_integer(mode, limit):
+    """A float slice bound failed deep inside the wqh33 scan, and True was
+    read as 1; both modes refuse them, naming the value."""
+    with pytest.raises(TypeError, match=f"max_candidates={limit!r} is not an integer"):
+        SearchConfig(mode=mode, max_candidates=limit)
+    assert SearchConfig(mode=mode, max_candidates=1000).max_candidates == 1000
 
 
 def test_gm4_raw_scan_on_q2_kneser(k242):
@@ -70,11 +80,6 @@ def test_gm4_dedup_collapses_orbit(k242):
     assert lambda_profile(mates[0]) == lambda_profile(mates[1])
     assert search.canonical_form(mates[0]) != search.canonical_form(mates[1])
     assert all(m != k242 for m in mates)
-
-
-def test_gm4_candidate_budget(k242):
-    res = search_gm4(k242, SearchConfig(max_candidates=100, dedup=False))
-    assert res.partial
 
 
 def test_gm4_time_budget(k242):
@@ -106,6 +111,62 @@ def test_gm4_raw_specs_are_the_cells_validate_gm_accepts():
         assert [tuple(s.cells[0]) for s in raw.specs] == want, seed
         accepted += len(want) if seed >= 2 else 0
     assert accepted >= 25  # random graphs, not only the trivial two
+
+
+def _gm4_cells(g, **cfg):
+    res = search_gm4(g, SearchConfig(dedup=False, **cfg))
+    return [s.cells[0] for s in res.specs], res.partial
+
+
+def _sparse_gnp(n, seed):
+    """G(n, p) with 1 to 3 expected neighbours a vertex, so that isolated
+    vertices and twins make GM cells."""
+    p = random.Random(seed).uniform(1.0, 3.0) / n
+    return Graph.from_edges(n, list(nx.gnp_random_graph(n, p, seed=seed).edges()))
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 70])
+def test_gm4_matches_reference_across_word_boundaries(n):
+    """One- and two-word packed rows: seeded sparse G(n, p) graphs, where
+    cells hold vertices on both sides of bit 64."""
+    found = 0
+    for seed in range(3):
+        g = _sparse_gnp(n, 100 * n + seed)
+        want = search_gm4_reference(g)
+        assert _gm4_cells(g) == want, seed
+        found += len(want[0])
+    assert found > 100
+
+
+def test_gm4_matches_reference_on_three_word_rows():
+    """K_3(4,2) has 130 vertices, three words a row, and no single 4-cell;
+    a sparse G(130, p) has cells with vertices in every word.  Both are
+    compared over the scan's first cells, through several first vertices."""
+    g = build(SchemeParams.parse("Jq{1}(4,2;q=3)"))
+    assert g.n == 130
+    assert _gm4_cells(g, max_candidates=400_000) == search_gm4_reference(g, 400_000)
+    sparse = _sparse_gnp(130, 4)
+    want = search_gm4_reference(sparse, 1_200_000)
+    assert want[1] and len(want[0]) > 100
+    assert {v // 64 for cell in want[0] for v in cell} == {0, 1, 2}
+    assert _gm4_cells(sparse, max_candidates=1_200_000) == want
+
+
+def test_gm4_candidate_budget(monkeypatch):
+    """With passes of 100 cells, a cut inside a pass, at a pass's end and
+    one past it, at the end of a first vertex's short last pass and one
+    past it, returns the full list's prefix over those cells, partial when
+    cells are left."""
+    monkeypatch.setattr(search, "_GM4_CHUNK", 100)
+    g = build(SchemeParams.parse("J{1}(6,3)"))
+    total = 4845  # C(20, 4); vertex 0 leads the first C(19, 3) = 969 cells
+    full, partial = _gm4_cells(g)
+    assert not partial and len(full) == 165
+    for cut in (1, 50, 100, 101, 250, 969, 970, 1069, 1070, total - 1, total):
+        got = _gm4_cells(g, max_candidates=cut)
+        assert got == search_gm4_reference(g, cut), cut
+        assert got[0] == full[:len(got[0])]
+        assert got[1] == (cut < total)
 
 
 def test_core_triples_shape():
@@ -329,6 +390,73 @@ def test_keys_equal_up_to_twins_are_joined_without_generators(monkeypatch):
         [(0, 2), (1, 3)], [(0, 3), (1, 4)], [(0, 1), (2, 3)])]
     assert search._orbit_firsts(g, keys) == [
         True, False, True, True, False, True, True, False, True]
+
+
+def _raw_specs(scheme, pattern):
+    params = SchemeParams.parse(scheme)
+    g = build(params)
+    if pattern is None:
+        return g, search_gm4(g, SearchConfig(dedup=False)).specs
+    cands = pattern(params.n, params.k)
+    return g, search_wqh33(g, cands, cands, SearchConfig(mode="wqh33", dedup=False)).specs
+
+
+@pytest.mark.parametrize("scheme, pattern", [
+    ("Jq{0}(4,2;q=2)", None),
+    ("J{2}(8,4)", johnson_core_triples),
+    ("J{1}(11,4)", johnson_block_triples),
+], ids=["gm4-K2(4,2)", "core-J2(8,4)", "blocks-J1(11,4)"])
+def test_orbit_firsts_match_reference_on_bench_jobs(scheme, pattern, monkeypatch):
+    """The raw keys of the search workload's three jobs, in scan order and
+    reversed, under the generators the dedup finds."""
+    g, raw = _raw_specs(scheme, pattern)
+    gens = canon.automorphism_generators(g, colors=vertex_lambda_colors(g))
+    monkeypatch.setattr(search, "automorphism_generators", lambda g, colors: gens)
+    keys = [search._spec_key(s) for s in raw]
+    for order in (keys, keys[::-1]):
+        assert search._orbit_firsts(g, order) == orbit_firsts_reference(g, order, gens)
+
+
+def _graph_with_twins(rng, n):
+    """G(n - t, 1/2) plus t vertices, each an open or a closed twin of an
+    earlier vertex."""
+    base = rng.randint(4, n - 2)
+    edges = list(nx.gnp_random_graph(base, 0.5, seed=rng.randrange(1 << 30)).edges())
+    for w in range(base, n):
+        v = rng.randrange(w)
+        edges += [(u, w) for u in range(w) for e in ((u, v), (v, u)) if e in edges]
+        if rng.random() < 0.5:
+            edges.append((v, w))
+    return Graph.from_edges(n, edges)
+
+
+def test_orbit_firsts_match_reference_on_random_keys(monkeypatch):
+    """Keys of one to three cells of one to four vertices, with images of
+    other keys among them so that components form: under random
+    permutations of a path, which has no twins, and under the automorphism
+    generators of graphs with planted twins."""
+    joined = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(6, 14)
+        if seed % 2:
+            g = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+            gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 4))]
+        else:
+            g = _graph_with_twins(rng, n)
+            gens = canon.automorphism_generators(g)
+        keys = [frozenset(frozenset(rng.sample(range(n), rng.randint(1, 4)))
+                          for _ in range(rng.randint(1, 3))) for _ in range(rng.randint(2, 25))]
+        for key in rng.sample(keys, len(keys) // 2):
+            for p in rng.sample(gens, min(len(gens), 2)):
+                keys.append(frozenset(frozenset(p[v] for v in cell) for cell in key))
+        keys = list(dict.fromkeys(keys))
+        rng.shuffle(keys)
+        monkeypatch.setattr(search, "automorphism_generators", lambda g, colors: gens)
+        want = orbit_firsts_reference(g, keys, gens)
+        assert search._orbit_firsts(g, keys) == want, seed
+        joined += len(keys) - sum(want)
+    assert joined > 50
 
 
 def test_j2_8_4_core_keys_form_one_orbit(j284):
